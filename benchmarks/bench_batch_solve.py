@@ -15,7 +15,7 @@ are pinned:
   its batch of 64 amortizes less and its smaller repeat count is
   noisier on shared CI cores).  This is a one-core
   comparison: the win is vectorization, not parallelism, so it holds
-  on CI runners where the process pool cannot help.
+  on single-core CI runners.
 
 Both sides are timed with interleaved best-of-N: container schedulers
 and frequency scaling routinely double a single measurement, so each
@@ -51,7 +51,7 @@ def _build_batch():
         for name in sorted(BENCHMARKS)
     }
     model = PerformanceModel(
-        ways=WAYS, cache=EquilibriumCache(max_entries=0, warm_start=False)
+        ways=WAYS, cache=EquilibriumCache(max_entries=0)
     )
     model.register_all(features.values())
     names = sorted(features)

@@ -3,31 +3,27 @@
 Boots two prediction servers on ephemeral ports, loads both with the
 same 32-way-concurrent closed-loop client traffic, and compares:
 
-- **baseline** — ``max_batch_size=1``, serial engine: every request is
-  one HTTP round trip and one solo equilibrium solve (what a naive
-  one-request-per-call service does).
-- **batched** — ``max_batch_size=32`` with a 2 ms linger and a 4-worker
-  :class:`~repro.parallel.ParallelPredictor`: concurrent requests
-  coalesce into engine-sized batches that amortise dispatch and fan
-  out across cores.
+- **baseline** — ``max_batch_size=1``: every request is one HTTP
+  round trip, one dispatch and one solo equilibrium solve (what a
+  naive one-request-per-call service does).
+- **batched** — ``max_batch_size=32`` with a 2 ms linger: concurrent
+  requests coalesce into batches that amortise dispatch.
 
 Every mix in the work list is a *distinct* multiset, so both servers
 run every solve cold (no equilibrium-cache hits flattering either
-side).  The two modes pin complementary claims:
+side).  The two modes use different solvers:
 
-- **Full mode** uses the bisection strategy (per-solve cost ~1.5 ms,
-  large enough that chunk IPC does not dominate) and, on a host with
-  at least 4 CPUs, asserts the batched server clears 3x the baseline
-  throughput — the multi-core process-pool win.
+- **Full mode** uses the bisection strategy (per-solve cost ~1.5 ms),
+  which ``predict_batch`` solves one mix at a time, so the gain is
+  dispatch amortisation alone.
 - **Quick mode** uses the ``auto`` (Newton) strategy so coalesced
   batches reach the stacked
-  :class:`~repro.core.batch_equilibrium.BatchNewtonSolver` through the
-  vectorized engine, and asserts batching beats 1-per-call (> 1.0x)
-  *even on a single CPU* — the win is vectorized math, not extra
-  cores.
+  :class:`~repro.core.batch_equilibrium.BatchNewtonSolver` — the win
+  is vectorized math, not extra cores.
 
-Also pinned on every host: zero shed and zero errors — with the
-default queue bound the load here must be admitted completely.
+Both modes assert batching beats 1-per-call (> 1.0x) on any host, and
+zero shed and zero errors — with the default queue bound the load here
+must be admitted completely.
 """
 
 import itertools
@@ -91,9 +87,9 @@ def _drive(mixes, strategy, **server_kwargs):
 def _measure(quick: bool):
     mixes = _mixes(QUICK_REQUESTS if quick else REQUESTS)
     strategy = QUICK_STRATEGY if quick else STRATEGY
-    baseline, _ = _drive(mixes, strategy, workers=1, max_batch_size=1)
+    baseline, _ = _drive(mixes, strategy, max_batch_size=1)
     batched, batch_sizes = _drive(
-        mixes, strategy, workers=4, max_batch_size=32, max_linger_ms=2.0
+        mixes, strategy, max_batch_size=32, max_linger_ms=2.0
     )
     return {
         "requests": len(mixes),
@@ -153,19 +149,12 @@ def _check(result, quick: bool) -> None:
         assert load.errors == 0, f"{label} run hit {load.errors} hard errors"
         assert load.shed == 0, f"{label} run shed {load.shed} requests"
         assert load.completed == result["requests"]
-    if quick:
-        # Vectorized micro-batching must pay on ANY host, 1 CPU
-        # included — that is the whole point of the stacked solver.
-        assert result["ratio"] > 1.0, (
-            f"batched throughput {result['ratio']:.2f}x baseline on a "
-            f"{cpus}-CPU host (vectorized micro-batching must beat "
-            "1-per-call even on one core)"
-        )
-    elif cpus >= 4:
-        assert result["ratio"] >= 3.0, (
-            f"batched throughput only {result['ratio']:.2f}x baseline "
-            f"on a {cpus}-CPU host (need >= 3x)"
-        )
+    # Micro-batching must pay on ANY host, 1 CPU included.
+    assert result["ratio"] > 1.0, (
+        f"batched throughput {result['ratio']:.2f}x baseline on a "
+        f"{cpus}-CPU host (micro-batching must beat 1-per-call even on "
+        "one core)"
+    )
 
 
 def test_serve_throughput(benchmark):

@@ -349,31 +349,22 @@ def predict_mixes(
     *,
     ways: int,
     strategy: str = "auto",
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    engine: str = "auto",
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]] = None,
 ) -> Tuple[MixPrediction, ...]:
-    """Price a batch of co-run combinations, optionally in parallel.
+    """Price a batch of co-run combinations through the batch solver.
 
-    Results are ordered like ``mixes`` and are bit-identical for any
-    ``workers``/``engine`` value: the batch engines solve every mix
-    from the cold start (see :mod:`repro.parallel`), which is also
-    what each independent :func:`predict_mix` call does.
+    Results are ordered like ``mixes``.  Every mix is solved from the
+    cold start (see :mod:`repro.parallel`), which is also what each
+    independent :func:`predict_mix` call does.
 
     Args:
         mixes: Co-run combinations, each a sequence of process names.
         suite: A :class:`ProfileSuiteResult` or path to a saved suite.
         ways: Associativity of the shared cache being modelled.
         strategy: Equilibrium solver strategy.
-        workers: Worker processes; ``None``/``0``/``1`` run serially.
-        chunk_size: Mixes shipped per worker round trip.
-        engine: ``"auto"`` / ``"serial"`` / ``"vectorized"`` /
-            ``"pool"`` — pure throughput knob (see
-            :class:`~repro.parallel.ParallelPredictor`).
         frequency_ratios: Optional per-mix core-clock ratios — one
             entry per mix, each ``None`` or a per-process ratio
-            sequence; identical across engines, bit for bit.
+            sequence.
     """
     from repro.parallel import predict_mixes as batch_predict
 
@@ -383,9 +374,6 @@ def predict_mixes(
         mixes,
         ways=ways,
         strategy=strategy,
-        workers=workers,
-        chunk_size=chunk_size,
-        engine=engine,
         frequency_ratios=frequency_ratios,
     )
     return tuple(
@@ -439,7 +427,6 @@ def pick_assignment(
     sets: int = 128,
     objective: str = "power",
     greedy: bool = False,
-    workers: Optional[int] = None,
 ) -> AssignmentPick:
     """Deprecated positional entry point; use :func:`solve_assignment`.
 
@@ -463,7 +450,6 @@ def pick_assignment(
         sets=sets,
         objective=objective,
         greedy=greedy,
-        workers=workers,
     )
 
 
@@ -476,7 +462,6 @@ def _pick_assignment_impl(
     sets: int = 128,
     objective: str = "power",
     greedy: bool = False,
-    workers: Optional[int] = None,
 ) -> AssignmentPick:
     """Pick the best process-to-core mapping from profiles (Section 6).
 
@@ -488,38 +473,13 @@ def _pick_assignment_impl(
         sets: Cache set scaling.
         objective: ``power`` / ``throughput`` / ``energy_per_instruction``.
         greedy: Use the O(k·N) greedy searcher instead of exhaustive.
-        workers: Score exhaustive candidates across this many worker
-            processes (same decision as serial; see
-            :mod:`repro.parallel`).  Incompatible with ``greedy``,
-            which is inherently sequential.
     """
     from repro.io import load_power_model
 
-    if workers is not None and workers > 1 and greedy:
-        raise ConfigurationError(
-            "greedy assignment places processes sequentially and cannot "
-            "fan out; drop workers or use the exhaustive searcher"
-        )
     topology = _topology(machine, sets)
     resolved = _resolve_suite(suite)
     if not isinstance(power_model, CorePowerModel):
         power_model = load_power_model(power_model)
-    if workers is not None and workers > 1:
-        from repro.parallel import parallel_exhaustive_assignment
-
-        decision = parallel_exhaustive_assignment(
-            resolved.features,
-            resolved.profiles,
-            power_model,
-            machine=machine,
-            sets=sets,
-            process_names=list(names),
-            objective=objective,
-            workers=workers,
-        )
-        return AssignmentPick(
-            machine=machine, strategy="exhaustive", decision=decision
-        )
     ways = topology.domains[0].geometry.ways
     perf = PerformanceModel(ways=ways)
     perf.register_all(list(resolved.features.values()))
@@ -544,9 +504,6 @@ def solve_assignment(
     power_model: Union[CorePowerModel, Pathish],
     *,
     strategy: str = "auto",
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    engine: str = "auto",
 ) -> FleetAssignment:
     """Solve a declarative assignment request (single machine or fleet).
 
@@ -563,10 +520,6 @@ def solve_assignment(
         suite: A :class:`ProfileSuiteResult` or path to a saved suite.
         power_model: A fitted :class:`CorePowerModel` or path to one.
         strategy: Equilibrium solver strategy.
-        workers / chunk_size / engine: Fan-out knobs for the co-run
-            closure priming (see
-            :class:`~repro.parallel.ParallelPredictor`); results are
-            bit-identical for every setting.
     """
     from repro.fleet import solve
     from repro.io import load_power_model
@@ -580,9 +533,6 @@ def solve_assignment(
         resolved.profiles,
         power_model,
         strategy=strategy,
-        workers=workers,
-        chunk_size=chunk_size,
-        engine=engine,
     )
 
 
@@ -598,12 +548,10 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    workers: Optional[int] = None,
     strategy: str = "auto",
     max_batch_size: int = 32,
     max_linger_ms: float = 2.0,
     max_queue: int = 256,
-    engine: str = "auto",
     result_cache_size: int = 4096,
     target_p95_ms: Optional[float] = None,
     max_body_bytes: int = 8 * 1024 * 1024,
@@ -622,17 +570,12 @@ def serve(
             :class:`CorePowerModel` instances, saved-JSON paths, or
             raw documents.
         host / port: Bind address (``port=0`` = ephemeral).
-        workers: Worker processes per prediction engine
-            (``None``/``0``/``1`` solve in-process).
         strategy: Equilibrium solver strategy.
         max_batch_size: Dispatch a batch at this many queued requests.
         max_linger_ms: Dispatch a partial batch after the oldest
             request has waited this long.
         max_queue: Admission bound; beyond it requests are shed with
             an explicit 429-style response.
-        engine: Batch execution engine per served predictor
-            (``"auto"`` / ``"serial"`` / ``"vectorized"`` /
-            ``"pool"`` — see :class:`~repro.parallel.ParallelPredictor`).
         result_cache_size: Canonical-mix result-cache capacity
             (``0`` disables caching; hits skip the solver but stay
             bit-identical — see :mod:`repro.serve.cache`).
@@ -647,12 +590,10 @@ def serve(
         models,
         host=host,
         port=port,
-        workers=workers,
         strategy=strategy,
         max_batch_size=max_batch_size,
         max_linger_ms=max_linger_ms,
         max_queue=max_queue,
-        engine=engine,
         result_cache_size=result_cache_size,
         target_p95_ms=target_p95_ms,
         max_body_bytes=max_body_bytes,

@@ -181,10 +181,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ValueError("give process names to predict, or --batch FILE")
     if args.batch:
         mixes = _load_batch_mixes(args.batch)
-        results = predict_mixes(
-            mixes, args.suite, ways=args.ways, workers=args.workers,
-            engine=args.engine,
-        )
+        results = predict_mixes(mixes, args.suite, ways=args.ways)
         if getattr(args, "as_json", False):
             document = {
                 "kind": "mix_prediction_batch",
@@ -308,7 +305,6 @@ def cmd_assign(args: argparse.Namespace) -> int:
             sets=args.sets,
             objective=args.objective,
             greedy=args.greedy,
-            workers=args.workers,
         )
         print(json.dumps(pick.to_dict(), indent=2, sort_keys=True))
         return 0
@@ -335,9 +331,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
         max_iterations=args.iterations,
         seed=args.seed,
     )
-    result = solve_assignment(
-        request, args.suite, args.power_model, workers=args.workers
-    )
+    result = solve_assignment(request, args.suite, args.power_model)
     print(json.dumps(fleet_assignment_to_dict(result), indent=2, sort_keys=True))
     return 0
 
@@ -375,12 +369,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.http_workers < 1:
         raise ValueError("--http-workers must be >= 1")
     common = dict(
-        workers=args.workers,
         strategy=args.strategy,
         max_batch_size=args.max_batch,
         max_linger_ms=args.linger_ms,
         max_queue=args.max_queue,
-        engine=args.engine,
         result_cache_size=args.cache_size,
         target_p95_ms=args.target_p95_ms,
         max_body_bytes=args.max_body_bytes,
@@ -511,17 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         'or {"mixes": [...]}) instead of a single co-run',
     )
     predict.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --batch (results are bit-identical "
-        "to serial)",
-    )
-    predict.add_argument(
-        "--engine", choices=("auto", "serial", "vectorized", "pool"),
-        default="auto",
-        help="batch execution engine for --batch (bit-identical "
-        "results; 'vectorized' is the fastest single-core choice)",
-    )
-    predict.add_argument(
         "--json", dest="as_json", action="store_true",
         help="emit the prediction as JSON instead of a table",
     )
@@ -586,11 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="seed for the greedy/anneal heuristic streams",
     )
-    assign.add_argument(
-        "--workers", type=int, default=None,
-        help="score exhaustive candidates across this many worker "
-        "processes (same decision as serial)",
-    )
     _add_obs_flags(assign)
     assign.add_argument("names", nargs="+")
     assign.set_defaults(func=cmd_assign)
@@ -616,10 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="publish an extra artifact under NAME (repeatable)",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes per prediction engine (default: in-process)",
-    )
-    serve.add_argument(
         "--strategy", default="auto", help="equilibrium solver strategy"
     )
     serve.add_argument(
@@ -633,12 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-queue", type=int, default=256,
         help="admission bound; excess requests are shed with HTTP 429",
-    )
-    serve.add_argument(
-        "--engine", choices=("auto", "serial", "vectorized", "pool"),
-        default="auto",
-        help="batch execution engine per served predictor "
-        "(bit-identical responses)",
     )
     serve.add_argument(
         "--http-workers", type=int, default=1,

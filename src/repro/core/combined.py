@@ -202,12 +202,11 @@ class CombinedModel:
         """Pre-populate the operating-point cache for one combination.
 
         Batch frontends (the fleet evaluator) solve co-run closures
-        through :class:`~repro.parallel.ParallelPredictor` and inject
-        the results here, so assignment scoring never re-enters the
+        through :meth:`PerformanceModel.predict_batch` and inject the
+        results here, so assignment scoring never re-enters the
         equilibrium solver.  ``operating`` maps each name of ``combo``
-        to its predicted ``(spi, l2mpr)``; existing entries win (the
-        cache is cold-start deterministic, so they are identical
-        anyway).
+        to its predicted ``(spi, l2mpr)``; existing entries win (every
+        solve starts cold, so they are identical anyway).
         """
         key = (domain_idx, tuple(sorted(combo)))
         if self._corun_cache.get(key) is None:

@@ -91,8 +91,6 @@ class SolverTelemetry:
         iterations: Iterations spent by the producing solver.
         residual_norm: Final Eq. 1 + Eq. 7 residual norm of the
             returned sizes (0 for uncontended short-circuits).
-        warm_started: Whether Newton started from a caller-supplied
-            initial guess instead of the proportional-demand default.
         fallback_reason: Why ``auto`` fell back to bisection (the
             Newton failure message), ``None`` when no fallback
             happened.
@@ -103,7 +101,6 @@ class SolverTelemetry:
     jacobian: Optional[str]
     iterations: int
     residual_norm: float
-    warm_started: bool = False
     fallback_reason: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -653,10 +650,7 @@ class NewtonSolver:
         return jac
 
     def solve(
-        self,
-        processes: Sequence[EquilibriumProcess],
-        total_ways: int,
-        initial: Optional[Sequence[float]] = None,
+        self, processes: Sequence[EquilibriumProcess], total_ways: int
     ) -> EquilibriumResult:
         if not processes:
             raise ConfigurationError("need at least one process")
@@ -677,24 +671,12 @@ class NewtonSolver:
         lo = NEWTON_DOMAIN_FLOOR
         caps = _newton_caps(processes, total_ways, lo)
         caps_arr = np.array(caps)
-        warm_started = initial is not None
-        if initial is not None:
-            start = [float(v) for v in initial]
-            if len(start) != k:
-                raise ConfigurationError(
-                    "initial guess must have one size per process"
-                )
-        else:
-            start = _proportional_start(processes, total_ways)
+        start = _proportional_start(processes, total_ways)
         x = [min(max(s, lo), c) for s, c in zip(start, caps)]
 
         if self.jacobian == "analytic":
-            return self._solve_analytic(
-                processes, total_ways, x, caps, lo, warm_started
-            )
-        return self._solve_fd(
-            processes, total_ways, np.asarray(x), caps_arr, lo, warm_started
-        )
+            return self._solve_analytic(processes, total_ways, x, caps, lo)
+        return self._solve_fd(processes, total_ways, np.asarray(x), caps_arr, lo)
 
     def _converged(
         self,
@@ -703,7 +685,6 @@ class NewtonSolver:
         x: List[float],
         caps: List[float],
         iteration: int,
-        warm_started: bool,
     ) -> EquilibriumResult:
         # Newton stops at ||res|| < tol, which leaves an O(tol)
         # capacity-constraint gap; close Eq. 1 exactly by
@@ -717,7 +698,6 @@ class NewtonSolver:
             jacobian=self.jacobian,
             iterations=iteration,
             residual_norm=_eq7_residual_norm(processes, x, total_ways),
-            warm_started=warm_started,
         )
         return _finish(processes, x, self.name, iteration, True, telemetry)
 
@@ -728,7 +708,6 @@ class NewtonSolver:
         x: List[float],
         caps: List[float],
         lo: float,
-        warm_started: bool,
     ) -> EquilibriumResult:
         """Newton with the analytic arrow Jacobian, in plain floats.
 
@@ -792,9 +771,7 @@ class NewtonSolver:
                     "residual left the finite domain", iterations=iteration
                 )
             if norm < self.tol:
-                return self._converged(
-                    processes, total_ways, x, caps, iteration, warm_started
-                )
+                return self._converged(processes, total_ways, x, caps, iteration)
             # Jacobian ingredients: only the tabulated segment slopes
             # are new; n, rate, spi come from the accepted evaluation.
             n1 = ns[0]
@@ -872,7 +849,6 @@ class NewtonSolver:
         x: np.ndarray,
         caps: np.ndarray,
         lo: float,
-        warm_started: bool,
     ) -> EquilibriumResult:
         """The original finite-difference Newton (debug/verify path)."""
         k = len(processes)
@@ -891,7 +867,6 @@ class NewtonSolver:
                     x.tolist(),
                     caps.tolist(),
                     iteration,
-                    warm_started,
                 )
             jac = np.empty((k, k))
             for j in range(k):
@@ -930,7 +905,6 @@ def solve_equilibrium(
     processes: Sequence[EquilibriumProcess],
     total_ways: int,
     strategy: str = "auto",
-    initial: Optional[Sequence[float]] = None,
 ) -> EquilibriumResult:
     """Solve the shared-cache equilibrium with the chosen strategy.
 
@@ -941,22 +915,20 @@ def solve_equilibrium(
         strategy: ``newton``, ``bisection``, or ``auto`` (the paper's
             Newton–Raphson, falling back to the robust bisection
             scheme if it fails to converge).
-        initial: Optional warm-start sizes for Newton (e.g. the
-            solution of a neighbouring co-run from an
-            :class:`~repro.core.solver_cache.EquilibriumCache`).
-            Ignored by bisection.
+
+    Newton always starts from the proportional-demand guess, so the
+    result depends only on the co-run itself.
     """
     observer = get_observer()
     if not observer.enabled:
-        return _solve_equilibrium_impl(processes, total_ways, strategy, initial)
+        return _solve_equilibrium_impl(processes, total_ways, strategy)
     with observer.span(
         "equilibrium.solve",
         strategy=strategy,
         processes=len(processes),
         total_ways=total_ways,
-        warm_started=initial is not None,
     ) as span:
-        result = _solve_equilibrium_impl(processes, total_ways, strategy, initial)
+        result = _solve_equilibrium_impl(processes, total_ways, strategy)
         observer.counter("equilibrium.solves").inc()
         if not result.contended:
             observer.counter("equilibrium.uncontended").inc()
@@ -967,15 +939,12 @@ def solve_equilibrium(
                 jacobian=telemetry.jacobian,
                 iterations=telemetry.iterations,
                 residual_norm=telemetry.residual_norm,
-                warm_started=telemetry.warm_started,
                 fallback_reason=telemetry.fallback_reason,
             )
             observer.counter("equilibrium.iterations").inc(telemetry.iterations)
             observer.histogram("equilibrium.residual_norm").observe(
                 telemetry.residual_norm
             )
-            if telemetry.warm_started:
-                observer.counter("equilibrium.warm_starts").inc()
             if telemetry.fallback_reason is not None:
                 observer.counter("equilibrium.fallbacks").inc()
         return result
@@ -985,7 +954,6 @@ def _solve_equilibrium_impl(
     processes: Sequence[EquilibriumProcess],
     total_ways: int,
     strategy: str,
-    initial: Optional[Sequence[float]],
 ) -> EquilibriumResult:
     """The uninstrumented solve (bench baseline for obs overhead)."""
 
@@ -995,7 +963,7 @@ def _solve_equilibrium_impl(
         return replace(result, telemetry=replace(result.telemetry, **updates))
 
     if strategy == "newton":
-        return NewtonSolver().solve(processes, total_ways, initial=initial)
+        return NewtonSolver().solve(processes, total_ways)
     if strategy == "bisection":
         return BisectionSolver().solve(processes, total_ways)
     if strategy != "auto":
@@ -1003,7 +971,7 @@ def _solve_equilibrium_impl(
             f"unknown strategy {strategy!r}; choose newton, bisection or auto"
         )
     try:
-        result = NewtonSolver().solve(processes, total_ways, initial=initial)
+        result = NewtonSolver().solve(processes, total_ways)
         return _stamp(result, strategy="auto")
     except ConvergenceError as newton_err:
         try:

@@ -13,6 +13,7 @@ assignments without running them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.histogram import ReuseDistanceHistogram
@@ -56,8 +57,10 @@ class FeatureVector:
         independent.  This is how one profile covers heterogeneous
         cores.
         """
-        if ratio <= 0:
-            raise ConfigurationError("ratio must be positive")
+        if not (math.isfinite(ratio) and ratio > 0):
+            raise ConfigurationError(
+                f"frequency ratio must be finite and positive, got {ratio!r}"
+            )
         return FeatureVector(
             name=self.name,
             histogram=self.histogram,

@@ -5,10 +5,9 @@ estimates, and the assignment searchers that sit on top of them —
 funnels through the same ``solve_equilibrium`` hot path, and an
 assignment search revisits the same co-run combinations hundreds of
 times.  :class:`EquilibriumCache` memoises those solves behind a
-bounded LRU with hit/miss/eviction counters, and remembers each
-process's most recent equilibrium size so Newton can warm-start from
-the solution of a *neighbouring* co-run (same processes, different
-partners) instead of the cold proportional-demand guess.
+bounded LRU with hit/miss/eviction counters.  Every cache miss is
+solved cold, from the proportional-demand guess, so a cached value
+depends only on its co-run and never on which solves came before.
 
 One cache instance can be shared across
 :class:`~repro.core.combined.CombinedModel` instances and
@@ -18,8 +17,8 @@ keys carry the cache geometry and solver strategy but deliberately
 not the profile contents.  Replacing a registered feature vector must
 therefore invalidate the cache (``PerformanceModel.register`` does).
 
-The cache is guarded by a lock so a future batched/async serving
-layer can share it across worker threads.
+The cache is guarded by a lock so the serving layer can share it
+across threads.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import get_observer
@@ -35,7 +34,11 @@ from repro.obs import get_observer
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Snapshot of an :class:`EquilibriumCache`'s counters."""
+    """Snapshot of an :class:`EquilibriumCache`'s counters.
+
+    ``warm_starts`` is always 0: solves no longer warm-start.  It is
+    kept so readers of the old counter set keep working.
+    """
 
     hits: int
     misses: int
@@ -54,26 +57,10 @@ class CacheStats:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
 
-    def delta_since(self, earlier: "CacheStats") -> "CacheStats":
-        """Counter increments between two snapshots of one cache.
-
-        ``entries``/``max_entries`` are states, not counters, and keep
-        their current values.  Used by the batch engine to ship only
-        the work one chunk did.
-        """
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            evictions=self.evictions - earlier.evictions,
-            warm_starts=self.warm_starts - earlier.warm_starts,
-            entries=self.entries,
-            max_entries=self.max_entries,
-        )
-
     def __str__(self) -> str:
         return (
             f"{self.hits}/{self.lookups} hits ({self.hit_rate * 100:.1f} %), "
-            f"{self.evictions} evictions, {self.warm_starts} warm starts, "
+            f"{self.evictions} evictions, "
             f"{self.entries}/{self.max_entries} entries"
         )
 
@@ -85,28 +72,24 @@ class EquilibriumCache:
         max_entries: Capacity bound.  Beyond it the least recently
             used entry is evicted.  ``0`` disables storage entirely
             (every lookup misses) — useful for honest benchmarking.
-        warm_start: When ``False``, :meth:`suggest_initial` always
-            returns ``None`` so every cache miss is solved from the
-            cold proportional-demand guess.  Cold solves depend only
-            on the co-run itself — not on which solves happened
-            before — which is what makes the :mod:`repro.parallel`
-            batch engine bit-identical between serial and parallel
-            execution.
+        warm_start: Only ``False`` is accepted; warm starts were
+            removed.  The argument remains for existing callers.
     """
 
-    def __init__(self, max_entries: int = 4096, warm_start: bool = True):
+    def __init__(self, max_entries: int = 4096, warm_start: bool = False):
         if max_entries < 0:
             raise ConfigurationError("max_entries must be non-negative")
+        if warm_start:
+            raise ConfigurationError(
+                "warm starts were removed: every solve starts cold, so a "
+                "prediction depends only on its co-run"
+            )
         self.max_entries = max_entries
-        self.warm_start = warm_start
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._last_sizes: Dict[str, float] = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._warm_starts = 0
-        self._absorbed_documents: set = set()
 
     # ------------------------------------------------------------------
     # Mapping interface
@@ -154,93 +137,14 @@ class EquilibriumCache:
             return key in self._data
 
     def clear(self) -> None:
-        """Drop all entries and warm-start memory (counters survive)."""
+        """Drop all entries (counters survive)."""
         with self._lock:
             self._data.clear()
-            self._last_sizes.clear()
 
-    # ------------------------------------------------------------------
-    # Newton warm starts
-    # ------------------------------------------------------------------
-    def record_sizes(self, names: Sequence[str], sizes: Sequence[float]) -> None:
-        """Remember each process's most recent equilibrium size."""
-        with self._lock:
-            for name, size in zip(names, sizes):
-                self._last_sizes[name] = float(size)
-
-    def suggest_initial(
-        self, names: Sequence[str], total_ways: int
-    ) -> Optional[List[float]]:
-        """Warm-start sizes from cached neighbour solutions.
-
-        Returns the processes' most recent equilibrium sizes rescaled
-        to the Eq. 1 capacity, or ``None`` when any process has never
-        been solved (the solver's default guess is then as good) or
-        warm starting is disabled.
-        """
-        if not self.warm_start:
-            return None
-        with self._lock:
-            try:
-                sizes = [self._last_sizes[name] for name in names]
-            except KeyError:
-                return None
-            total = sum(sizes)
-            if total <= 0.0:
-                return None
-            self._warm_starts += 1
-            scale = total_ways / total
-            suggestion = [s * scale for s in sizes]
-        observer = get_observer()
-        if observer.enabled:
-            observer.counter("solver_cache.warm_starts").inc()
-        return suggestion
-
-    # ------------------------------------------------------------------
-    # Batch-engine merge (repro.parallel)
-    # ------------------------------------------------------------------
     def export_entries(self) -> List[Tuple[Hashable, Any]]:
-        """All ``(key, value)`` pairs, least recently used first.
-
-        Worker processes export their per-worker caches with this so
-        the parent can absorb the solutions after a batch.
-        """
+        """All ``(key, value)`` pairs, least recently used first."""
         with self._lock:
             return list(self._data.items())
-
-    def absorb(
-        self,
-        entries: Optional[Sequence[Tuple[Hashable, Any]]] = None,
-        stats: Optional[CacheStats] = None,
-        document_id: Optional[Hashable] = None,
-    ) -> None:
-        """Merge a worker cache's entries and/or telemetry into this one.
-
-        ``entries`` are inserted through :meth:`put` (LRU/eviction
-        rules apply); ``stats`` counters are *added* to this cache's,
-        so the parent's telemetry reflects the whole fleet's work.
-
-        ``document_id`` makes the merge idempotent: each distinct id is
-        absorbed exactly once, so a worker chunk replayed after a pool
-        failure (same id) cannot double-count its counter deltas or
-        re-insert its entries (which would churn LRU order and inflate
-        eviction counts).  ``None`` keeps the unconditional merge for
-        callers that manage their own delivery semantics.
-        """
-        if document_id is not None:
-            with self._lock:
-                if document_id in self._absorbed_documents:
-                    return
-                self._absorbed_documents.add(document_id)
-        if entries is not None:
-            for key, value in entries:
-                self.put(key, value)
-        if stats is not None:
-            with self._lock:
-                self._hits += stats.hits
-                self._misses += stats.misses
-                self._evictions += stats.evictions
-                self._warm_starts += stats.warm_starts
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -252,7 +156,7 @@ class EquilibriumCache:
                 hits=self._hits,
                 misses=self._misses,
                 evictions=self._evictions,
-                warm_starts=self._warm_starts,
+                warm_starts=0,
                 entries=len(self._data),
                 max_entries=self.max_entries,
             )

@@ -12,18 +12,18 @@ fleet-scale search tractable:
   has at most two cores per domain — so every solve the search can
   possibly trigger is a co-run of at most ``domain width`` names.
 
-:class:`FleetEvaluator` exploits both.  :meth:`prime` fans the full
-co-run closure (every name multiset up to the widest domain) through
-:class:`~repro.parallel.ParallelPredictor` — inheriting its engine
-selection and serial/vectorized/pool bit-equality — after which every
-machine-state evaluation is pure cached arithmetic.  States themselves
+:class:`FleetEvaluator` exploits both.  :meth:`prime` solves the full
+co-run closure (every name multiset up to the widest domain) in one
+:meth:`~repro.core.performance_model.PerformanceModel.predict_batch`
+per cache associativity, after which every machine-state evaluation
+is pure cached arithmetic.  States themselves
 are memoised by canonical key, shared across the interchangeable
 machines of a group, so greedy packing and annealing over 10k+
 processes re-price only states they have never seen.
 
-All equilibrium caches are built with ``warm_start=False``: solves are
-order-independent, which is what makes scores bit-identical across
-solvers, engines and runs (the determinism the tests pin).
+Every equilibrium solve starts cold, so solves are order-independent,
+which is what makes scores bit-identical across solvers and runs (the
+determinism the tests pin).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.core.combined import CombinedModel
 from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel
-from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.fleet.spec import FleetSpec
 from repro.hetero.model import (
@@ -47,7 +46,6 @@ from repro.hetero.model import (
 from repro.hetero.types import HeteroMachineSpec
 from repro.machine.topology import MachineTopology
 from repro.obs import get_observer
-from repro.parallel import ParallelPredictor
 
 __all__ = [
     "CANONICAL_OBJECTIVES",
@@ -160,9 +158,6 @@ class FleetEvaluator:
         power_model: Fitted per-core power model.
         fleet: The machine inventory being packed.
         strategy: Equilibrium solver strategy.
-        workers / chunk_size / engine: Fan-out knobs handed to the
-            :class:`ParallelPredictor` used by :meth:`prime`; scores
-            are bit-identical for every setting.
     """
 
     def __init__(
@@ -173,20 +168,13 @@ class FleetEvaluator:
         fleet: FleetSpec,
         *,
         strategy: str = "auto",
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        engine: str = "auto",
     ):
         self.features = dict(features)
         self.profiles = dict(profiles)
         self.power_model = power_model
         self.fleet = fleet
         self.strategy = strategy
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.engine = engine
         self._models_by_ways: Dict[int, PerformanceModel] = {}
-        self._caches_by_ways: Dict[int, EquilibriumCache] = {}
         self._configs: Dict[
             Tuple[str, int, Optional[HeteroMachineSpec]], _MachineConfig
         ] = {}
@@ -208,13 +196,9 @@ class FleetEvaluator:
     def _model_for(self, ways: int) -> PerformanceModel:
         model = self._models_by_ways.get(ways)
         if model is None:
-            cache = EquilibriumCache(warm_start=False)
-            model = PerformanceModel(
-                ways=ways, strategy=self.strategy, cache=cache
-            )
+            model = PerformanceModel(ways=ways, strategy=self.strategy)
             model.register_all(list(self.features.values()))
             self._models_by_ways[ways] = model
-            self._caches_by_ways[ways] = cache
         return model
 
     def _config_for(
@@ -237,7 +221,6 @@ class FleetEvaluator:
                 ],
                 power_model=self.power_model,
                 profiles=self.profiles,
-                corun_cache=EquilibriumCache(warm_start=False),
             )
             pricer = None
             idle_watts = topology.num_cores * self.power_model.p_idle
@@ -265,7 +248,7 @@ class FleetEvaluator:
         return config
 
     # ------------------------------------------------------------------
-    # Closure priming (the ParallelPredictor fan-out)
+    # Closure priming
     # ------------------------------------------------------------------
     def check_processes(self, names: Sequence[str]) -> None:
         unknown = sorted(
@@ -293,13 +276,12 @@ class FleetEvaluator:
         return mixes
 
     def prime(self, names: Sequence[str]) -> int:
-        """Solve the co-run closure up front through the batch engine.
+        """Solve the co-run closure up front through the batch solver.
 
         Returns the number of mixes primed.  Optional for correctness
-        (cold-start caches make later on-demand solves bit-identical);
-        it exists so fleet-scale searches pay the equilibrium solves
-        once, through whichever engine (`serial`/`vectorized`/`pool`)
-        suits the host.
+        (cold solves make later on-demand solves bit-identical); it
+        exists so fleet-scale searches pay the equilibrium solves once,
+        stacked.
         """
         self.check_processes(names)
         if not names:
@@ -319,17 +301,8 @@ class FleetEvaluator:
 
     def _prime_impl(self, mixes: List[Tuple[str, ...]]) -> int:
         primed = 0
-        for ways, cache in sorted(self._caches_by_ways.items()):
-            with ParallelPredictor(
-                self.features,
-                ways=ways,
-                strategy=self.strategy,
-                workers=self.workers,
-                chunk_size=self.chunk_size,
-                cache=cache,
-                engine=self.engine,
-            ) as predictor:
-                predictions = predictor.predict_mixes(mixes)
+        for ways, model in sorted(self._models_by_ways.items()):
+            predictions = model.predict_batch(mixes)
             primed += len(predictions)
             # Seed each combined model's operating-point cache so
             # machine scoring never re-enters the predictor.

@@ -2,10 +2,8 @@
 
 :class:`AssignmentRequest` is the single entry point's input: a frozen,
 JSON-round-trippable description of *what* to solve (processes,
-objective, fleet, constraints, search budget) with no execution knobs —
-engine/worker selection stays a keyword of
-:func:`repro.api.solve_assignment`, so the same document gives the same
-answer on any host.  :class:`FleetAssignment` is the matching result
+objective, fleet, constraints, search budget) with no execution knobs,
+so the same document gives the same answer on any host.  :class:`FleetAssignment` is the matching result
 bundle.  Both round-trip bit-exactly through :mod:`repro.io`.
 """
 
@@ -154,9 +152,8 @@ class MachineAssignment:
 class FleetAssignment:
     """Result bundle of :func:`repro.api.solve_assignment`.
 
-    Deliberately free of wall-clock fields: for a given request (and
-    any engine/worker setting) the bundle is bit-identical across
-    runs, which the determinism tests pin.  ``improvements`` is the
+    Deliberately free of wall-clock fields: for a given request the
+    bundle is bit-identical across runs, which the determinism tests pin.  ``improvements`` is the
     anytime best-so-far trace — ``(iteration, score)`` each time the
     incumbent improved, iteration 0 being the construction heuristic's
     solution.

@@ -188,12 +188,13 @@ def telemetry_to_dict(telemetry: SolverTelemetry) -> Dict:
         "jacobian": telemetry.jacobian,
         "iterations": telemetry.iterations,
         "residual_norm": telemetry.residual_norm,
-        "warm_started": telemetry.warm_started,
         "fallback_reason": telemetry.fallback_reason,
     }
 
 
 def telemetry_from_dict(data: Dict) -> SolverTelemetry:
+    # Older documents also carry a ``warm_started`` flag; every solve
+    # now starts cold, so it is ignored.
     _check_header(data, "solver_telemetry")
     try:
         return SolverTelemetry(
@@ -202,7 +203,6 @@ def telemetry_from_dict(data: Dict) -> SolverTelemetry:
             jacobian=data["jacobian"],
             iterations=int(data["iterations"]),
             residual_norm=float(data["residual_norm"]),
-            warm_started=bool(data.get("warm_started", False)),
             fallback_reason=data.get("fallback_reason"),
         )
     except KeyError as missing:

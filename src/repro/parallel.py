@@ -1,73 +1,37 @@
-"""repro.parallel — batched process-pool execution engine.
+"""repro.parallel — batched co-run pricing and simulation fan-out.
 
-Batch workloads — pricing many co-run mixes, scoring every candidate
-of an assignment search, running fleets of ground-truth simulations —
-are embarrassingly parallel, but fanning them out naively breaks the
-project's two core guarantees: deterministic results and coherent
-telemetry.  This module keeps both:
+Two batch workloads live here:
 
-- **Bit-equality.**  Serial and parallel execution return *exactly*
-  the same floats.  Predictions are memoised in
-  :class:`~repro.core.solver_cache.EquilibriumCache` instances built
-  with ``warm_start=False``, so every cache miss is solved from the
-  cold proportional-demand guess and the result depends only on the
-  co-run itself, never on which solves happened before (a warm start
-  changes Newton's initial guess and therefore the result bits).
-  Candidate scoring shares
-  :func:`~repro.core.assignment.enumerate_candidates` with the serial
-  searcher and reduces by ``(score, candidate index)``, reproducing
-  the serial first-strictly-better tie-break.
+- **Co-run pricing.**  :class:`ParallelPredictor` and
+  :func:`predict_mixes` price many mixes in-process through
+  :meth:`~repro.core.performance_model.PerformanceModel.predict_batch`,
+  which solves every cache miss as one stacked-numpy Newton problem.
+  Every solve starts cold, so each row is bit-identical to an
+  independent :func:`repro.api.predict_mix` call for the same mix.
 
-- **Deterministic seeds.**  Simulation tasks without an explicit seed
-  draw per-task seeds from ``numpy.random.SeedSequence`` spawning
-  (:func:`repro.seeding.task_seeds`), so streams are provably
-  independent across tasks and stable across worker counts, chunk
-  sizes and scheduling order.
-
-- **Telemetry merge-back.**  Each worker runs chunks under its own
-  private cache and (when the parent observer is live) its own
-  :class:`~repro.obs.Observer`; chunk results ship the newly solved
-  cache entries, the cache-counter deltas and the worker's exported
-  trace/metrics documents back to the parent, which absorbs them into
-  its cache and observer — spans nest under the parent's batch span.
-
-Profiles are pickled once per worker (pool initializer), and tasks
-travel in chunks to amortise the remaining IPC.
+- **Ground-truth simulation.**  :func:`simulate_assignments` fans
+  machine runs out over a process pool, where one task costs seconds.
+  Tasks without an explicit seed draw per-task seeds from
+  ``numpy.random.SeedSequence`` spawning
+  (:func:`repro.seeding.task_seeds`), so streams are independent
+  across tasks and stable across worker counts, chunk sizes and
+  scheduling order.  When the parent observer is live, each worker
+  chunk runs under its own :class:`~repro.obs.Observer` and the parent
+  absorbs the exported trace/metrics documents under its batch span.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import BENCH_SCALE, SimulationScale
-from repro.core.assignment import (
-    AssignmentDecision,
-    OBJECTIVES,
-    check_enumeration_size,
-    enumerate_candidates,
-    score_assignment,
-)
-from repro.core.combined import CombinedModel
-from repro.core.feature import FeatureVector, ProfileVector
+from repro.core.feature import FeatureVector
 from repro.core.performance_model import CoRunPrediction, PerformanceModel
-from repro.core.power_model import CorePowerModel
-from repro.core.solver_cache import CacheStats, EquilibriumCache
+from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.machine.simulator import (
     MachineSimulation,
@@ -85,14 +49,10 @@ __all__ = [
     "SimulationTask",
     "predict_mixes",
     "simulate_assignments",
-    "parallel_exhaustive_assignment",
 ]
 
-#: Default number of tasks shipped to a worker per round trip.
+#: Default number of simulation tasks shipped to a worker per round trip.
 DEFAULT_CHUNK_SIZE = 8
-
-#: Process-wide predictor ids for idempotent cache-absorb documents.
-_ENGINE_IDS = itertools.count(1)
 
 
 # ----------------------------------------------------------------------
@@ -128,8 +88,8 @@ def _chunked(items: Sequence, workers: int, chunk_size: Optional[int]) -> List[L
 def _normalize_mix_ratios(
     mixes: Sequence[Tuple[str, ...]],
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]],
-) -> List[Optional[Tuple[float, ...]]]:
-    """Validate and freeze per-mix frequency ratios.
+) -> List[Optional[List[float]]]:
+    """Validate per-mix frequency ratios.
 
     ``None`` (no ratios anywhere) and per-mix ``None`` entries both
     mean the homogeneous default; non-``None`` entries must match
@@ -142,12 +102,12 @@ def _normalize_mix_ratios(
             f"frequency_ratios must have one entry per mix: got "
             f"{len(frequency_ratios)} for {len(mixes)} mixes"
         )
-    normalized: List[Optional[Tuple[float, ...]]] = []
+    normalized: List[Optional[List[float]]] = []
     for index, (mix, mix_ratios) in enumerate(zip(mixes, frequency_ratios)):
         if mix_ratios is None:
             normalized.append(None)
             continue
-        ratios = tuple(float(r) for r in mix_ratios)
+        ratios = [float(r) for r in mix_ratios]
         if len(ratios) != len(mix):
             raise ConfigurationError(
                 f"frequency_ratios[{index}] has {len(ratios)} entries for a "
@@ -157,126 +117,27 @@ def _normalize_mix_ratios(
     return normalized
 
 
-#: Per-worker-process state installed by the pool initializers.
-_WORKER: Dict[str, Any] = {}
-
-
 # ----------------------------------------------------------------------
 # Batched co-run prediction
 # ----------------------------------------------------------------------
-def _init_predict_worker(
-    features: Sequence[FeatureVector], ways: int, strategy: str
-) -> None:
-    """Build this worker's model once; chunks then ship only mix names."""
-    model = PerformanceModel(
-        ways=ways, strategy=strategy, cache=EquilibriumCache(warm_start=False)
-    )
-    model.register_all(list(features))
-    _WORKER.clear()
-    _WORKER["model"] = model
-    _WORKER["shipped"] = set()
-
-
-def _predict_chunk(
-    chunk: Sequence[Tuple[int, Tuple[str, ...], Optional[Tuple[float, ...]]]],
-    observe: bool,
-) -> Tuple[
-    List[Tuple[int, CoRunPrediction]],
-    List[Tuple[Any, Any]],
-    CacheStats,
-    Optional[Dict],
-    Optional[Dict],
-]:
-    """Predict one chunk of ``(index, names, ratios)`` tasks in a worker.
-
-    ``ratios`` is the mix's per-process frequency-ratio tuple or
-    ``None`` for the homogeneous default.  Returns the indexed
-    predictions plus everything the parent merges back: cache entries
-    this worker has not shipped before, the cache counter increments
-    of this chunk, and (when observing) the worker-local trace/metrics
-    documents.
-    """
-    model: PerformanceModel = _WORKER["model"]
-    shipped: Set[Any] = _WORKER["shipped"]
-    before = model.cache.stats
-    observer = Observer() if observe else None
-    results: List[Tuple[int, CoRunPrediction]] = []
-    if observer is not None:
-        with use_observer(observer):
-            for index, names, ratios in chunk:
-                results.append(
-                    (
-                        index,
-                        model.predict(
-                            list(names),
-                            frequency_ratios=(
-                                list(ratios) if ratios is not None else None
-                            ),
-                        ),
-                    )
-                )
-    else:
-        for index, names, ratios in chunk:
-            results.append(
-                (
-                    index,
-                    model.predict(
-                        list(names),
-                        frequency_ratios=(
-                            list(ratios) if ratios is not None else None
-                        ),
-                    ),
-                )
-            )
-    entries = [
-        (key, value)
-        for key, value in model.cache.export_entries()
-        if key not in shipped
-    ]
-    shipped.update(key for key, _ in entries)
-    delta = model.cache.stats.delta_since(before)
-    trace_doc = observer.trace_dict() if observer is not None else None
-    metrics_doc = observer.metrics_dict() if observer is not None else None
-    return results, entries, delta, trace_doc, metrics_doc
-
-
 class ParallelPredictor:
-    """Reusable batched co-run predictor over a process pool.
+    """Reusable in-process batched co-run predictor.
 
-    The pool persists across :meth:`predict_mixes` calls, so repeated
-    batches pay worker start-up and profile pickling once.  Use as a
-    context manager (or call :meth:`close`) to release the workers.
+    Holds one :class:`PerformanceModel` over ``features``, so repeated
+    batches build the occupancy tables once.  Each batch goes through
+    :meth:`PerformanceModel.predict_batch`, which picks the stacked
+    solver or the sequential loop by itself; both give the same bits.
+    Use as a context manager (or call :meth:`close`) in long-lived
+    holders such as the serving layer.
 
     Args:
         features: Feature vectors of every process mixes may name
             (a sequence, or a ``name -> FeatureVector`` mapping).
         ways: Associativity of the shared cache being modelled.
         strategy: Equilibrium solver strategy.
-        workers: Process count; ``None``/``0``/``1`` run serially
-            in-process (same results, by construction).
-        chunk_size: Tasks per worker round trip (default: adaptive,
-            at most :data:`DEFAULT_CHUNK_SIZE`).
-        cache: Parent-side :class:`EquilibriumCache` that accumulates
-            every worker's solutions and telemetry.  Must have
-            ``warm_start=False`` — warm starts would make results
-            depend on solve order and break serial/parallel
-            bit-equality.
-        engine: How batches execute — all four return bit-identical
-            predictions, so this is purely a throughput knob:
-
-            - ``"serial"``: one scalar solve per mix, in-process.
-            - ``"vectorized"``: in-process stacked-numpy batch solve
-              (:meth:`PerformanceModel.predict_batch`) — the fastest
-              single-core engine, no pool to start.
-            - ``"pool"``: the process-pool fan-out (needs
-              ``workers > 1``).
-            - ``"auto"`` (default): ``vectorized`` when the predictor
-              is effectively single-core (``workers <= 1``, only one
-              CPU visible, or a batch too small to amortise chunk
-              IPC), otherwise ``pool``.
+        cache: :class:`EquilibriumCache` the model memoises into
+            (default: a private one).
     """
-
-    _ENGINES = ("auto", "serial", "vectorized", "pool")
 
     def __init__(
         self,
@@ -284,46 +145,16 @@ class ParallelPredictor:
         *,
         ways: int,
         strategy: str = "auto",
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         cache: Optional[EquilibriumCache] = None,
-        engine: str = "auto",
     ):
         if isinstance(features, Mapping):
             features = [features[name] for name in sorted(features)]
-        if engine not in self._ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; choose from {self._ENGINES}"
-            )
         self.features = list(features)
         self.ways = ways
         self.strategy = strategy
-        self.workers = _resolve_workers(workers)
-        if engine == "pool" and self.workers <= 1:
-            raise ConfigurationError(
-                "engine='pool' needs workers > 1; use 'vectorized' (or "
-                "'auto') for single-worker batches"
-            )
-        self.engine = engine
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
-        self.chunk_size = chunk_size
-        if cache is None:
-            cache = EquilibriumCache(warm_start=False)
-        elif cache.warm_start:
-            raise ConfigurationError(
-                "the batch engine needs a warm_start=False cache: warm starts "
-                "make solutions depend on solve order, breaking the "
-                "serial/parallel bit-equality guarantee"
-            )
-        self.cache = cache
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._serial_model: Optional[PerformanceModel] = None
+        self.cache = cache if cache is not None else EquilibriumCache()
+        self._model: Optional[PerformanceModel] = None
         self._closed = False
-        self._batch_seq = 0
-        # Distinguishes this predictor's absorb documents from those of
-        # other predictors sharing the same parent cache.
-        self._engine_id = next(_ENGINE_IDS)
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "ParallelPredictor":
@@ -338,66 +169,25 @@ class ParallelPredictor:
         return self._closed
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent).
+        """Mark the predictor closed (idempotent).
 
-        A closed predictor stays closed: later :meth:`predict_mixes` /
-        :meth:`warm_up` calls raise :class:`RuntimeError` instead of
-        silently restarting the pool (long-lived holders like the
+        A closed predictor stays closed: later :meth:`predict_mixes`
+        calls raise :class:`RuntimeError` (long-lived holders like the
         serving layer rely on these strict reuse semantics).
         """
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "ParallelPredictor is closed; its worker pool was shut "
-                "down — create a new predictor instead of reusing this one"
-            )
-
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_pool_context(),
-                initializer=_init_predict_worker,
-                initargs=(self.features, self.ways, self.strategy),
-            )
-        return self._executor
-
-    def warm_up(self) -> None:
-        """Spin up (and initialise) the workers before timing anything.
-
-        Benchmarks call this so pool start-up and profile pickling are
-        excluded from the measured batch.
-        """
-        self._check_open()
-        if self.workers <= 1 or self.engine in ("serial", "vectorized"):
-            self._serial()
-            return
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_predict_chunk, [], False) for _ in range(self.workers)
-        ]
-        for future in futures:
-            future.result()
 
     # -- prediction -----------------------------------------------------
-    def _serial(self) -> PerformanceModel:
-        if self._serial_model is None:
+    def _get_model(self) -> PerformanceModel:
+        # Built on first use, so the serving layer pays the occupancy
+        # tables on its dispatch thread rather than its event loop.
+        if self._model is None:
             model = PerformanceModel(
                 ways=self.ways, strategy=self.strategy, cache=self.cache
             )
             model.register_all(self.features)
-            self._serial_model = model
-        return self._serial_model
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Parent-side cache telemetry (includes absorbed worker work)."""
-        return self.cache.stats
+            self._model = model
+        return self._model
 
     def predict_mixes(
         self,
@@ -406,109 +196,28 @@ class ParallelPredictor:
             Sequence[Optional[Sequence[float]]]
         ] = None,
     ) -> Tuple[CoRunPrediction, ...]:
-        """Predict every mix; order and bits match serial execution.
+        """Predict every mix, in order.
 
         Args:
             mixes: One name sequence per mix.
             frequency_ratios: Optional per-mix core-clock ratios: one
                 entry per mix, each either ``None`` (homogeneous) or a
-                per-process ratio sequence.  Every engine — serial,
-                vectorized, pool — routes them to the same scalar
-                model semantics, so results stay bit-identical across
-                engines at any ratio.
+                per-process ratio sequence.
         """
-        self._check_open()
-        normalized = [tuple(mix) for mix in mixes]
-        ratios = _normalize_mix_ratios(normalized, frequency_ratios)
+        if self._closed:
+            raise RuntimeError(
+                "ParallelPredictor is closed; create a new predictor "
+                "instead of reusing this one"
+            )
+        names = [list(mix) for mix in mixes]
+        ratios = _normalize_mix_ratios(names, frequency_ratios)
         observer = get_observer()
         if not observer.enabled:
-            return self._predict_mixes_impl(normalized, ratios, observe=False)
-        with observer.span(
-            "parallel.predict_mixes", mixes=len(normalized), workers=self.workers
-        ) as span:
-            results = self._predict_mixes_impl(
-                normalized,
-                ratios,
-                observe=True,
-                observer=observer,
-                parent_span_id=span.span_id,
-            )
-            observer.counter("parallel.mixes").inc(len(normalized))
+            return self._get_model().predict_batch(names, ratios)
+        with observer.span("parallel.predict_mixes", mixes=len(names)):
+            results = self._get_model().predict_batch(names, ratios)
+            observer.counter("parallel.mixes").inc(len(names))
             return results
-
-    def _select_engine(self, n_mixes: int) -> str:
-        """Resolve ``"auto"`` to a concrete engine for this batch.
-
-        The pool only wins when there is real hardware parallelism
-        *and* enough mixes that every worker gets more than chunk-IPC
-        overhead; otherwise the in-process vectorized solver is faster
-        (it beats the serial loop by an order of magnitude on one
-        core, with nothing to fork).
-        """
-        if self.engine != "auto":
-            return self.engine
-        if self.workers <= 1:
-            return "vectorized"
-        if (os.cpu_count() or 1) < 2 or n_mixes < 2 * self.workers:
-            return "vectorized"
-        return "pool"
-
-    def _predict_mixes_impl(
-        self,
-        mixes: List[Tuple[str, ...]],
-        ratios: List[Optional[Tuple[float, ...]]],
-        observe: bool,
-        observer: Optional[Observer] = None,
-        parent_span_id: Optional[int] = None,
-    ) -> Tuple[CoRunPrediction, ...]:
-        if not mixes:
-            return ()
-        engine = self._select_engine(len(mixes))
-        if engine == "serial":
-            model = self._serial()
-            return tuple(
-                model.predict(
-                    list(names),
-                    frequency_ratios=(
-                        list(mix_ratios) if mix_ratios is not None else None
-                    ),
-                )
-                for names, mix_ratios in zip(mixes, ratios)
-            )
-        if engine == "vectorized":
-            return self._serial().predict_batch(
-                [list(n) for n in mixes],
-                frequency_ratios=[
-                    list(r) if r is not None else None for r in ratios
-                ],
-            )
-        self._batch_seq += 1
-        batch_seq = self._batch_seq
-        chunks = _chunked(
-            [
-                (index, names, mix_ratios)
-                for index, (names, mix_ratios) in enumerate(zip(mixes, ratios))
-            ],
-            self.workers,
-            self.chunk_size,
-        )
-        executor = self._ensure_executor()
-        futures = [
-            executor.submit(_predict_chunk, chunk, observe) for chunk in chunks
-        ]
-        out: List[Optional[CoRunPrediction]] = [None] * len(mixes)
-        for chunk_index, future in enumerate(futures):
-            results, entries, delta, trace_doc, metrics_doc = future.result()
-            for index, prediction in results:
-                out[index] = prediction
-            self.cache.absorb(
-                entries=entries,
-                stats=delta,
-                document_id=("predict_mixes", self._engine_id, batch_seq, chunk_index),
-            )
-            if observe and observer is not None:
-                observer.absorb(trace_doc, metrics_doc, parent_span_id)
-        return tuple(out)  # type: ignore[arg-type]
 
 
 def predict_mixes(
@@ -517,21 +226,12 @@ def predict_mixes(
     *,
     ways: int,
     strategy: str = "auto",
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     cache: Optional[EquilibriumCache] = None,
-    engine: str = "auto",
     frequency_ratios: Optional[Sequence[Optional[Sequence[float]]]] = None,
 ) -> Tuple[CoRunPrediction, ...]:
     """One-shot batched prediction (see :class:`ParallelPredictor`)."""
     with ParallelPredictor(
-        features,
-        ways=ways,
-        strategy=strategy,
-        workers=workers,
-        chunk_size=chunk_size,
-        cache=cache,
-        engine=engine,
+        features, ways=ways, strategy=strategy, cache=cache
     ) as predictor:
         return predictor.predict_mixes(mixes, frequency_ratios=frequency_ratios)
 
@@ -696,176 +396,3 @@ def _simulate_impl(
             if observe and observer is not None:
                 observer.absorb(trace_doc, metrics_doc, parent_span_id)
     return tuple(out)  # type: ignore[arg-type]
-
-
-# ----------------------------------------------------------------------
-# Parallel exhaustive assignment search
-# ----------------------------------------------------------------------
-def _init_assign_worker(
-    features: Sequence[FeatureVector],
-    profiles: Mapping[str, ProfileVector],
-    power_model: CorePowerModel,
-    machine: str,
-    sets: int,
-) -> None:
-    topology = STANDARD_MACHINES[machine](sets=sets)
-    ways = topology.domains[0].geometry.ways
-    perf = PerformanceModel(ways=ways, cache=EquilibriumCache(warm_start=False))
-    perf.register_all(list(features))
-    combined = CombinedModel(
-        topology=topology,
-        performance_models=[perf],
-        power_model=power_model,
-        profiles=profiles,
-        corun_cache=EquilibriumCache(warm_start=False),
-    )
-    _WORKER.clear()
-    _WORKER["combined"] = combined
-
-
-def _score_chunk(
-    chunk: Sequence[Tuple[int, Tuple[Tuple[int, Tuple[str, ...]], ...]]],
-    objective: str,
-    observe: bool,
-) -> Tuple[List[Tuple[int, float, float, float]], Optional[Dict], Optional[Dict]]:
-    combined: CombinedModel = _WORKER["combined"]
-    observer = Observer() if observe else None
-    scored: List[Tuple[int, float, float, float]] = []
-
-    def _run() -> None:
-        for index, items in chunk:
-            assignment = {core: tuple(names) for core, names in items}
-            score, watts, ips = score_assignment(combined, assignment, objective)
-            scored.append((index, score, watts, ips))
-
-    if observer is not None:
-        with use_observer(observer):
-            _run()
-    else:
-        _run()
-    trace_doc = observer.trace_dict() if observer is not None else None
-    metrics_doc = observer.metrics_dict() if observer is not None else None
-    return scored, trace_doc, metrics_doc
-
-
-def parallel_exhaustive_assignment(
-    features: Union[Sequence[FeatureVector], Mapping[str, FeatureVector]],
-    profiles: Mapping[str, ProfileVector],
-    power_model: CorePowerModel,
-    *,
-    machine: str,
-    sets: int,
-    process_names: Sequence[str],
-    objective: str = "power",
-    max_per_core: Optional[int] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    max_candidates: Optional[int] = None,
-) -> AssignmentDecision:
-    """Exhaustive search with candidates scored across a worker pool.
-
-    The parent enumerates the canonical candidate stream (shared with
-    the serial searcher), workers price chunks of it against their own
-    cold-start :class:`CombinedModel`, and the parent reduces by
-    ``(score, candidate index)`` — the same decision, score and
-    tie-break the serial searcher produces over cold-start caches.
-    """
-    if objective not in OBJECTIVES:
-        raise ConfigurationError(
-            f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
-        )
-    if not process_names:
-        raise ConfigurationError("need at least one process to assign")
-    if machine not in STANDARD_MACHINES:
-        raise ConfigurationError(
-            f"unknown machine {machine!r}; choose from {sorted(STANDARD_MACHINES)}"
-        )
-    if isinstance(features, Mapping):
-        features = [features[name] for name in sorted(features)]
-    features = list(features)
-    topology = STANDARD_MACHINES[machine](sets=sets)
-    check_enumeration_size(topology.num_cores, len(process_names), max_candidates)
-    candidates = list(
-        enumerate_candidates(topology.num_cores, process_names, max_per_core)
-    )
-    if not candidates:
-        raise ConfigurationError("no feasible assignment under the given constraints")
-    workers = _resolve_workers(workers)
-    observer = get_observer()
-    if not observer.enabled:
-        return _assign_impl(
-            features, profiles, power_model, machine, sets, candidates,
-            objective, workers, chunk_size, observe=False,
-        )
-    with observer.span(
-        "parallel.assign",
-        candidates=len(candidates),
-        workers=workers,
-        objective=objective,
-    ) as span:
-        decision = _assign_impl(
-            features, profiles, power_model, machine, sets, candidates,
-            objective, workers, chunk_size,
-            observe=True, observer=observer, parent_span_id=span.span_id,
-        )
-        span.annotate(score=decision.score)
-        observer.counter("assign.searches").inc()
-        observer.counter("assign.candidates").inc(decision.candidates_evaluated)
-        return decision
-
-
-def _assign_impl(
-    features: List[FeatureVector],
-    profiles: Mapping[str, ProfileVector],
-    power_model: CorePowerModel,
-    machine: str,
-    sets: int,
-    candidates: List[Dict[int, Tuple[str, ...]]],
-    objective: str,
-    workers: int,
-    chunk_size: Optional[int],
-    observe: bool,
-    observer: Optional[Observer] = None,
-    parent_span_id: Optional[int] = None,
-) -> AssignmentDecision:
-    scored: List[Tuple[int, float, float, float]] = []
-    if workers <= 1:
-        _init_assign_worker(features, profiles, power_model, machine, sets)
-        combined: CombinedModel = _WORKER.pop("combined")
-        for index, candidate in enumerate(candidates):
-            score, watts, ips = score_assignment(combined, candidate, objective)
-            scored.append((index, score, watts, ips))
-    else:
-        indexed = [
-            (index, tuple(sorted(candidate.items())))
-            for index, candidate in enumerate(candidates)
-        ]
-        chunks = _chunked(indexed, workers, chunk_size)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_pool_context(),
-            initializer=_init_assign_worker,
-            initargs=(features, profiles, power_model, machine, sets),
-        ) as executor:
-            futures = [
-                executor.submit(_score_chunk, chunk, objective, observe)
-                for chunk in chunks
-            ]
-            for future in futures:
-                chunk_scores, trace_doc, metrics_doc = future.result()
-                scored.extend(chunk_scores)
-                if observe and observer is not None:
-                    observer.absorb(trace_doc, metrics_doc, parent_span_id)
-    # Serial tie-break: the first strictly better candidate wins, i.e.
-    # the minimum by (score, enumeration index).
-    best_index, best_score, best_watts, best_ips = min(
-        scored, key=lambda item: (item[1], item[0])
-    )
-    return AssignmentDecision(
-        assignment=candidates[best_index],
-        predicted_watts=best_watts,
-        predicted_ips=best_ips,
-        objective=objective,
-        score=best_score,
-        candidates_evaluated=len(scored),
-    )

@@ -9,7 +9,7 @@ batches:
 - Concurrent :meth:`~MicroBatcher.submit` calls append to a pending
   queue; a single flusher task assembles batches and dispatches them
   through a persistent :class:`~repro.parallel.ParallelPredictor`
-  (whose cold-start caches make served results bit-identical to
+  (whose cold solves make served results bit-identical to
   independent :func:`repro.api.predict_mix` calls — see
   :mod:`repro.parallel`).
 - A batch flushes when it reaches ``max_batch_size`` **or** when the

@@ -22,8 +22,8 @@ are coalesced by a per-``(model version, ways)``
 persistent :class:`~repro.parallel.ParallelPredictor`, so the returned
 ``prediction`` document is bit-identical to what
 :func:`repro.api.predict_mix` computes for the same suite and mix.  An
-optional ``"frequency_ratios": [...]`` field (one positive number per
-name) prices the mix at per-process DVFS clock ratios (see
+optional ``"frequency_ratios": [...]`` field (one finite positive
+number per name) prices the mix at per-process DVFS clock ratios (see
 :mod:`repro.hetero`); it flows through the result cache key and the
 batch dispatch positionally.
 
@@ -50,6 +50,7 @@ import contextlib
 import functools
 import json
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
@@ -126,24 +127,23 @@ def _names_field(payload: Dict) -> Tuple[str, ...]:
     return tuple(names)
 
 
+def _finite_positive(value) -> bool:
+    """JSON reads ``1e999`` as inf, which passes a plain ``> 0`` check."""
+    try:
+        return math.isfinite(value) and value > 0
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 class PredictionService:
     """Registry + batchers + assignment executor behind the endpoints.
 
     Args:
         registry: Artifact store (default: a fresh empty one).
-        workers: Worker processes per prediction engine;
-            ``None``/``0``/``1`` solve in-process (bit-identical).
         strategy: Equilibrium solver strategy for served predictions.
         max_batch_size / max_linger_s / max_queue: Batching and
             admission knobs, applied to every batcher (see
             :class:`MicroBatcher`).
-        engine: Batch execution engine handed to every
-            :class:`ParallelPredictor` (``"auto"`` / ``"serial"`` /
-            ``"vectorized"`` / ``"pool"``) — a pure throughput knob,
-            responses are bit-identical under all of them.  The
-            default ``"auto"`` uses the in-process stacked-numpy
-            solver on single-core hosts and the process pool when
-            ``workers > 1`` pays off.
         result_cache_size: Capacity of the canonical-mix prediction
             result cache (see :mod:`repro.serve.cache`); ``0``
             disables it.  Cache-hit responses are bit-identical to
@@ -158,19 +158,15 @@ class PredictionService:
         self,
         registry: Optional[ModelRegistry] = None,
         *,
-        workers: Optional[int] = None,
         strategy: str = "auto",
         max_batch_size: int = 32,
         max_linger_s: float = 0.002,
         max_queue: int = 256,
-        engine: str = "auto",
         result_cache_size: int = 4096,
         target_p95_ms: Optional[float] = None,
     ):
         self.registry = registry if registry is not None else ModelRegistry()
-        self.workers = workers
         self.strategy = strategy
-        self.engine = engine
         self.max_batch_size = max_batch_size
         self.max_linger_s = max_linger_s
         self.max_queue = max_queue
@@ -211,11 +207,7 @@ class PredictionService:
         batcher = self._batchers.get(key)
         if batcher is None:
             engine = ParallelPredictor(
-                artifact.obj.features,
-                ways=ways,
-                strategy=self.strategy,
-                workers=self.workers,
-                engine=self.engine,
+                artifact.obj.features, ways=ways, strategy=self.strategy
             )
             batcher = MicroBatcher(
                 engine,
@@ -242,6 +234,12 @@ class PredictionService:
             raise ServiceClosedError("service is stopped")
         if not isinstance(ways, int) or ways < 1:
             raise _BadRequest(f"'ways' must be a positive integer, got {ways!r}")
+        # Checked here, per request: a mix the model would reject fails
+        # the whole micro-batch it joins.
+        if len(names) > ways:
+            raise _BadRequest(
+                f"{len(names)} processes cannot share a {ways}-way cache"
+            )
         if frequency_ratios is not None:
             if not isinstance(frequency_ratios, (list, tuple)) or not all(
                 isinstance(ratio, (int, float)) and not isinstance(ratio, bool)
@@ -255,9 +253,10 @@ class PredictionService:
                     f"field 'frequency_ratios' has {len(frequency_ratios)} "
                     f"entries for {len(names)} names"
                 )
-            if not all(ratio > 0 for ratio in frequency_ratios):
+            if not all(_finite_positive(ratio) for ratio in frequency_ratios):
                 raise _BadRequest(
-                    "field 'frequency_ratios' entries must be positive"
+                    "field 'frequency_ratios' entries must be finite and "
+                    "positive"
                 )
             frequency_ratios = tuple(float(r) for r in frequency_ratios)
         artifact = self.registry.get(model_ref)
@@ -395,8 +394,6 @@ class PredictionService:
                 suite.obj,
                 power_model,
                 strategy=self.strategy,
-                workers=self.workers,
-                engine=self.engine,
             ),
         )
         self.metrics.counter("serve.assign_v2.completed").inc()

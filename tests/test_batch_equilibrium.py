@@ -136,7 +136,7 @@ class TestBatchScalarBitEquality:
         names = sorted(features)
         rng = random.Random(42)
         model = PerformanceModel(
-            ways=WAYS, cache=EquilibriumCache(max_entries=0, warm_start=False)
+            ways=WAYS, cache=EquilibriumCache(max_entries=0)
         )
         model.register_all(features.values())
         batch = []
@@ -295,7 +295,7 @@ MIXES = [
 
 def fresh_model(features, **kwargs):
     model = PerformanceModel(
-        ways=8, cache=EquilibriumCache(warm_start=False), **kwargs
+        ways=8, cache=EquilibriumCache(), **kwargs
     )
     model.register_all(features.values())
     return model
@@ -330,9 +330,23 @@ class TestPredictBatch:
         before = model.cache_stats
         second = model.predict_batch(MIXES)
         assert first == second
-        delta = model.cache_stats.delta_since(before)
-        assert delta.misses == 0
-        assert delta.hits == len(MIXES)
+        after = model.cache_stats
+        assert after.misses == before.misses
+        assert after.hits - before.hits == len(MIXES)
+
+    def test_default_model_vectorizes(self, features):
+        """A default cache no longer switches the stacked solver off."""
+        model = PerformanceModel(ways=8)
+        model.register_all(features.values())
+        pairs = [["gzip", "mcf"], ["art", "gcc"], ["vpr", "twolf"],
+                 ["ammp", "parser"], ["equake", "mcf"]]
+        assert len(pairs) >= BATCH_MIN_STACK
+        model.predict_batch(pairs)
+        solvers = [
+            result.telemetry.solver
+            for _, result in model.cache.export_entries()
+        ]
+        assert solvers == [BatchNewtonSolver.name] * len(pairs)
 
     def test_frequency_ratios_batch(self, features):
         mixes = [["gzip", "mcf"], ["art", "gcc"], ["vpr", "twolf"],

@@ -139,7 +139,7 @@ class TestBatchPredictFlow:
         batch.write_text(json.dumps([["gzip"], ["gzip", "gzip"]]))
         capsys.readouterr()
         code = main(["predict", "--suite", str(suite), "--ways", "4",
-                     "--batch", str(batch), "--workers", "2", "--json"])
+                     "--batch", str(batch), "--json"])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "mix_prediction_batch"

@@ -12,7 +12,7 @@ Four layers, pinned separately:
   greedy packing it refines, on fleets far beyond the sweep limit.
 - **Determinism**: same seed ⇒ identical :class:`FleetAssignment`
   (dataclass equality, so float-for-float) across repeated runs and
-  across ``engine="serial"`` vs ``engine="pool"``.
+  with observability on or off.
 """
 
 import json
@@ -390,7 +390,9 @@ class TestDeterminism:
         second = solve_assignment(request, suite, power_model)
         assert first == second
 
-    def test_serial_and_pool_engines_agree(self, suite, power_model):
+    def test_observed_and_unobserved_runs_agree(self, suite, power_model):
+        from repro.obs import Observer, use_observer
+
         request = AssignmentRequest(
             processes=("mcf", "gzip", "art", "vpr"),
             machine="4-core-server",
@@ -398,13 +400,11 @@ class TestDeterminism:
             solver="anneal",
             seed=5,
         )
-        serial = solve_assignment(
-            request, suite, power_model, engine="serial"
-        )
-        pool = solve_assignment(
-            request, suite, power_model, engine="pool", workers=2
-        )
-        assert serial == pool
+        plain = solve_assignment(request, suite, power_model)
+        # An enabled observer primes through the sequential predict loop.
+        with use_observer(Observer()):
+            observed = solve_assignment(request, suite, power_model)
+        assert plain == observed
 
     def test_different_seeds_may_differ_but_stay_valid(self, suite, power_model):
         fleet = FleetSpec(

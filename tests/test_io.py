@@ -175,7 +175,6 @@ def telemetries(draw):
         jacobian=draw(st.sampled_from([None, "analytic", "fd"])),
         iterations=draw(st.integers(min_value=0, max_value=10_000)),
         residual_norm=draw(st.floats(min_value=0, max_value=1.0)),
-        warm_started=draw(st.booleans()),
         fallback_reason=draw(st.one_of(st.none(), st.text(max_size=40))),
     )
 
@@ -258,6 +257,16 @@ class TestResultRoundtrips:
             name="art", effective_size=2.0, mpa=0.5, spi=1e-8
         )
         assert ProcessPrediction.from_dict(prediction.to_dict()) == prediction
+
+    def test_legacy_warm_started_flag_is_read(self):
+        telemetry = SolverTelemetry(
+            strategy="auto", solver="newton", jacobian="analytic",
+            iterations=4, residual_norm=1e-10,
+        )
+        doc = telemetry_to_dict(telemetry)
+        assert "warm_started" not in doc
+        doc["warm_started"] = True  # written before warm starts were removed
+        assert telemetry_from_dict(doc) == telemetry
 
     def test_wrong_kind_rejected(self):
         telemetry = SolverTelemetry(

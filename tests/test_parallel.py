@@ -1,32 +1,26 @@
-"""Unit tests for the repro.parallel batch execution engine.
+"""Unit tests for repro.parallel.
 
-The engine's contract is strong: for any worker count, chunking or
-scheduling order, results are *bit-identical* to serial execution,
-per-task RNG streams are independent, and worker cache/observer
-telemetry merges losslessly into the parent.  These tests check each
-guarantee with 2-worker pools (small enough for CI machines).
+Batched prediction runs in-process and must be *bit-identical* to
+independent per-mix predictions, whatever the batch composition.  The
+simulation fan-out must return serial-identical results for any worker
+count or chunking, with independent per-task RNG streams and worker
+observer telemetry merged into the parent.  Pools use 2 workers (small
+enough for CI machines).
 """
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.api import _pick_assignment_impl as pick_assignment
 from repro.api import predict_mix, predict_mixes
 from repro.config import SimulationScale
-from repro.core.assignment import enumerate_candidates, exhaustive_assignment
-from repro.core.combined import CombinedModel
-from repro.core.feature import FeatureVector, ProfileVector
+from repro.core.assignment import enumerate_candidates
+from repro.core.feature import FeatureVector
 from repro.core.performance_model import PerformanceModel
-from repro.core.power_model import CorePowerModel, PowerTrainingSet
 from repro.core.solver_cache import EquilibriumCache
 from repro.errors import ConfigurationError
-from repro.events import Event, RATE_EVENTS
-from repro.machine.topology import STANDARD_MACHINES
 from repro.parallel import (
     ParallelPredictor,
     SimulationTask,
-    parallel_exhaustive_assignment,
     predict_mixes as batch_predict,
     simulate_assignments,
 )
@@ -56,97 +50,57 @@ def features():
     return [FeatureVector.oracle(BENCHMARKS[name], 2e8) for name in NAMES]
 
 
-@pytest.fixture(scope="module")
-def profiles():
-    return {
-        name: ProfileVector(
-            name=name,
-            p_alone=20.0 + 2.0 * index,
-            l1rpi=0.4,
-            l2rpi=0.05,
-            brpi=0.2,
-            fppi=0.01 * index,
-        )
-        for index, name in enumerate(NAMES)
-    }
-
-
-@pytest.fixture(scope="module")
-def power_model():
-    rng = np.random.default_rng(0)
-    training = PowerTrainingSet()
-    for _ in range(40):
-        rates = {event: rng.uniform(0, 1e8) for event in RATE_EVENTS}
-        power = 11.0 + 8e-8 * rates[Event.L1_REFS] + 2e-7 * rates[Event.L2_MISSES]
-        training.add(rates, power)
-    return CorePowerModel().fit(training, idle_core_watts=11.0)
-
-
 class TestPredictMixes:
     def test_parallel_bit_equals_serial(self, features):
-        serial = batch_predict(features, MIXES, ways=8, workers=1)
-        parallel = batch_predict(features, MIXES, ways=8, workers=2, chunk_size=2)
-        assert serial == parallel  # frozen dataclasses: exact float equality
+        """The stacked batch solve equals the sequential predict loop."""
+        model = PerformanceModel(ways=8)
+        model.register_all(features)
+        serial = tuple(model.predict(mix) for mix in MIXES)
+        assert batch_predict(features, MIXES, ways=8) == serial
 
     def test_matches_independent_predictions(self, features):
         """Each batch entry equals a standalone cold-start prediction."""
-        batch = batch_predict(features, MIXES, ways=8, workers=2)
+        batch = batch_predict(features, MIXES, ways=8)
         for mix, got in zip(MIXES, batch):
             model = PerformanceModel(ways=8)
             model.register_all(features)
             assert model.predict(mix) == got
 
     def test_chunking_does_not_change_results(self, features):
-        one = batch_predict(features, MIXES, ways=8, workers=2, chunk_size=1)
-        big = batch_predict(features, MIXES, ways=8, workers=2, chunk_size=64)
-        assert one == big
+        one = sum((batch_predict(features, [mix], ways=8) for mix in MIXES), ())
+        whole = batch_predict(features, MIXES, ways=8)
+        assert one == whole
 
     def test_order_preserved(self, features):
-        results = batch_predict(features, MIXES, ways=8, workers=2)
+        results = batch_predict(features, MIXES, ways=8)
         for mix, result in zip(MIXES, results):
             assert [p.name for p in result.processes] == list(mix)
 
     def test_empty_batch(self, features):
-        assert batch_predict(features, [], ways=8, workers=2) == ()
+        assert batch_predict(features, [], ways=8) == ()
 
     def test_accepts_feature_mapping(self, features):
         mapping = {f.name: f for f in features}
-        assert batch_predict(mapping, MIXES[:2], ways=8, workers=1) == batch_predict(
-            features, MIXES[:2], ways=8, workers=1
+        assert batch_predict(mapping, MIXES[:2], ways=8) == batch_predict(
+            features, MIXES[:2], ways=8
         )
 
-    def test_worker_cache_merges_into_parent(self, features):
-        with ParallelPredictor(features, ways=8, workers=2) as engine:
-            engine.predict_mixes(MIXES)
-            stats = engine.cache_stats
-        # 4 distinct mixes were solved somewhere in the fleet and all
-        # solutions landed in the parent cache; the duplicate mix is a
-        # hit only if both copies hit the same worker, so just bound it.
-        assert stats.entries == 4
-        # The duplicate mix is a worker-cache hit only if both copies
-        # land in the same chunk, so bound the split instead of pinning.
-        assert 4 <= stats.misses <= 5
-        assert stats.hits + stats.misses == len(MIXES)
-        key = (8, "auto", (("gzip", 1.0), ("mcf", 1.0)))
-        assert key in engine.cache
-
-    def test_pool_reuse_across_batches(self, features):
-        with ParallelPredictor(features, ways=8, workers=2) as engine:
-            engine.warm_up()
+    def test_predictor_reuse_across_batches(self, features):
+        with ParallelPredictor(features, ways=8) as engine:
             first = engine.predict_mixes(MIXES[:2])
             second = engine.predict_mixes(MIXES[2:])
-        assert first + second == batch_predict(features, MIXES, ways=8, workers=1)
+        assert first + second == batch_predict(features, MIXES, ways=8)
 
     def test_observer_absorbs_worker_spans(self, features):
         observer = obs.Observer()
         with obs.use_observer(observer):
-            batch_predict(features, MIXES, ways=8, workers=2)
+            batch_predict(features, MIXES, ways=8)
         spans = observer.trace_dict()["spans"]
         batch_spans = [s for s in spans if s["name"] == "parallel.predict_mixes"]
         assert len(batch_spans) == 1
         predict_spans = [s for s in spans if s["name"] == "predict"]
         assert len(predict_spans) == len(MIXES)
-        # Worker spans were re-parented under the parent batch span.
+        # Per-mix spans nest under the batch span.
         assert {s["parent_id"] for s in predict_spans} == {batch_spans[0]["id"]}
         counters = observer.metrics_dict()["counters"]
         assert counters["predict.calls"] == len(MIXES)
@@ -154,42 +108,45 @@ class TestPredictMixes:
 
     def test_worker_errors_propagate(self, features):
         with pytest.raises(KeyError, match="no feature vector"):
-            batch_predict(features, [["mcf", "nosuch"]], ways=8, workers=2)
+            batch_predict(features, [["mcf", "nosuch"]], ways=8)
 
     def test_warm_start_cache_rejected(self, features):
-        with pytest.raises(ConfigurationError, match="warm_start"):
-            ParallelPredictor(features, ways=8, cache=EquilibriumCache())
+        with pytest.raises(ConfigurationError, match="warm starts"):
+            ParallelPredictor(
+                features, ways=8, cache=EquilibriumCache(warm_start=True)
+            )
 
     def test_negative_workers_rejected(self, features):
         with pytest.raises(ConfigurationError, match="workers"):
-            ParallelPredictor(features, ways=8, workers=-2)
+            simulate_assignments([], workers=-2)
 
     def test_bad_chunk_size_rejected(self, features):
+        task = SimulationTask(
+            machine="2-core-workstation", assignment={0: ("art",)}, sets=64
+        )
         with pytest.raises(ConfigurationError, match="chunk_size"):
-            batch_predict(features, MIXES, ways=8, workers=2, chunk_size=0)
+            simulate_assignments([task], workers=2, chunk_size=0)
 
 
 class TestPredictorLifecycle:
     def test_predict_after_close_raises(self, features):
-        predictor = ParallelPredictor(features, ways=8, workers=1)
+        predictor = ParallelPredictor(features, ways=8)
         assert predictor.predict_mixes([["mcf", "gzip"]])
         assert not predictor.closed
         predictor.close()
         assert predictor.closed
         with pytest.raises(RuntimeError, match="closed"):
             predictor.predict_mixes([["mcf", "gzip"]])
-        with pytest.raises(RuntimeError, match="closed"):
-            predictor.warm_up()
 
     def test_context_manager_exit_closes(self, features):
-        with ParallelPredictor(features, ways=8, workers=1) as predictor:
+        with ParallelPredictor(features, ways=8) as predictor:
             predictor.predict_mixes([["mcf"]])
         assert predictor.closed
         with pytest.raises(RuntimeError, match="create a new predictor"):
             predictor.predict_mixes([["mcf"]])
 
     def test_close_is_idempotent(self, features):
-        predictor = ParallelPredictor(features, ways=8, workers=1)
+        predictor = ParallelPredictor(features, ways=8)
         predictor.close()
         predictor.close()
         assert predictor.closed
@@ -204,87 +161,18 @@ class TestFacade:
             features={f.name: f for f in features},
             profiles={},
         )
-        batch = predict_mixes(MIXES, suite, ways=8, workers=2)
+        batch = predict_mixes(MIXES, suite, ways=8)
         assert len(batch) == len(MIXES)
         for mix, result in zip(MIXES, batch):
             assert result.names == tuple(mix)
             assert result.ways == 8
             assert result.prediction == predict_mix(mix, suite, ways=8).prediction
 
-    def test_greedy_with_workers_rejected(self, features, profiles, power_model):
-        from repro.api import ProfileSuiteResult
-
-        suite = ProfileSuiteResult(
-            machine="4-core-server",
-            features={f.name: f for f in features},
-            profiles=profiles,
-        )
-        with pytest.raises(ConfigurationError, match="greedy"):
-            pick_assignment(
-                ["mcf", "gzip"], suite, power_model, greedy=True, workers=2
-            )
 
 
 class TestParallelAssignment:
-    def test_matches_serial_searcher_exactly(self, features, profiles, power_model):
-        names = ["mcf", "gzip", "art"]
-        parallel = parallel_exhaustive_assignment(
-            features, profiles, power_model,
-            machine="4-core-server", sets=64,
-            process_names=names, workers=2, chunk_size=3,
-        )
-        # Serial reference over the same cold-start caches.
-        topology = STANDARD_MACHINES["4-core-server"](sets=64)
-        perf = PerformanceModel(
-            ways=topology.domains[0].geometry.ways,
-            cache=EquilibriumCache(warm_start=False),
-        )
-        perf.register_all(features)
-        combined = CombinedModel(
-            topology=topology,
-            performance_models=[perf],
-            power_model=power_model,
-            profiles=profiles,
-            corun_cache=EquilibriumCache(warm_start=False),
-        )
-        serial = exhaustive_assignment(combined, names)
-        assert parallel.assignment == serial.assignment
-        assert parallel.score == serial.score
-        assert parallel.predicted_watts == serial.predicted_watts
-        assert parallel.predicted_ips == serial.predicted_ips
-        assert parallel.candidates_evaluated == serial.candidates_evaluated
-
-    def test_workers_one_matches_workers_two(self, features, profiles, power_model):
-        kwargs = dict(
-            machine="4-core-server", sets=64,
-            process_names=["mcf", "gzip", "vpr"], objective="throughput",
-        )
-        one = parallel_exhaustive_assignment(
-            features, profiles, power_model, workers=1, **kwargs
-        )
-        two = parallel_exhaustive_assignment(
-            features, profiles, power_model, workers=2, **kwargs
-        )
-        assert one == two
-
-    def test_max_per_core_honoured(self, features, profiles, power_model):
-        decision = parallel_exhaustive_assignment(
-            features, profiles, power_model,
-            machine="4-core-server", sets=64,
-            process_names=["mcf", "gzip"], max_per_core=1, workers=2,
-        )
-        assert all(len(names) == 1 for names in decision.assignment.values())
-
-    def test_infeasible_constraints_rejected(self, features, profiles, power_model):
-        with pytest.raises(ConfigurationError, match="no feasible"):
-            parallel_exhaustive_assignment(
-                features, profiles, power_model,
-                machine="2-core-workstation", sets=64,
-                process_names=["mcf", "gzip", "art"], max_per_core=1, workers=2,
-            )
-
     def test_candidate_stream_is_shared(self):
-        """Both searchers consume the same deduplicated enumeration."""
+        """The exhaustive searcher's deduplicated enumeration."""
         candidates = list(enumerate_candidates(2, ["a", "a"]))
         # a,a split across cores collapses with its mirror image, but
         # which single core hosts both stays significant (per-core
@@ -407,53 +295,21 @@ class TestTable1Workers:
 
 
 class TestEngineSelection:
-    """The engine knob is a pure throughput choice: identical bits."""
+    """predict_batch's stacked solve and sequential loop agree bit for bit."""
 
     def test_all_engines_bit_identical(self, features):
-        serial = batch_predict(features, MIXES, ways=8, engine="serial")
-        vectorized = batch_predict(features, MIXES, ways=8, engine="vectorized")
-        auto = batch_predict(features, MIXES, ways=8)
-        pool = batch_predict(features, MIXES, ways=8, workers=2, engine="pool")
-        assert serial == vectorized == auto == pool
-
-    def test_auto_prefers_vectorized_on_one_worker(self, features):
-        with ParallelPredictor(features, ways=8) as predictor:
-            assert predictor._select_engine(256) == "vectorized"
-
-    def test_auto_pool_needs_cpus_and_batch_size(self, features, monkeypatch):
-        import repro.parallel as parallel_module
-
-        with ParallelPredictor(features, ways=8, workers=4) as predictor:
-            monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-            assert predictor._select_engine(256) == "pool"
-            # Too few mixes to amortise chunk IPC across 4 workers.
-            assert predictor._select_engine(7) == "vectorized"
-            # Single visible CPU: the pool cannot win.
-            monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
-            assert predictor._select_engine(256) == "vectorized"
-
-    def test_explicit_engine_is_never_overridden(self, features, monkeypatch):
-        import repro.parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
-        with ParallelPredictor(
-            features, ways=8, workers=4, engine="vectorized"
-        ) as predictor:
-            assert predictor._select_engine(256) == "vectorized"
-
-    def test_pool_engine_requires_workers(self, features):
-        with pytest.raises(ConfigurationError, match="workers > 1"):
-            ParallelPredictor(features, ways=8, engine="pool")
-
-    def test_unknown_engine_rejected(self, features):
-        with pytest.raises(ConfigurationError, match="engine"):
-            ParallelPredictor(features, ways=8, engine="warp")
+        model = PerformanceModel(ways=8)
+        model.register_all(features)
+        serial = tuple(model.predict(mix) for mix in MIXES)
+        vectorized = batch_predict(features, MIXES, ways=8)
+        observer = obs.Observer()
+        with obs.use_observer(observer):  # forces the sequential loop
+            observed = batch_predict(features, MIXES, ways=8)
+        assert serial == vectorized == observed
 
     def test_vectorized_fills_shared_cache(self, features):
-        cache = EquilibriumCache(warm_start=False)
-        with ParallelPredictor(
-            features, ways=8, engine="vectorized", cache=cache
-        ) as predictor:
+        cache = EquilibriumCache()
+        with ParallelPredictor(features, ways=8, cache=cache) as predictor:
             predictor.predict_mixes(MIXES)
         stats = cache.stats
         assert stats.entries == 4  # one per distinct canonical mix
@@ -461,7 +317,7 @@ class TestEngineSelection:
 
 
 class TestFrequencyRatios:
-    """Per-mix DVFS frequency ratios thread through every engine."""
+    """Per-mix DVFS frequency ratios thread through the batch path."""
 
     RATIOS = [
         [0.8, 1.0],
@@ -472,19 +328,15 @@ class TestFrequencyRatios:
     ]
 
     def test_all_engines_bit_identical_with_ratios(self, features):
-        serial = batch_predict(
-            features, MIXES, ways=8, engine="serial",
-            frequency_ratios=self.RATIOS,
-        )
         vectorized = batch_predict(
-            features, MIXES, ways=8, engine="vectorized",
-            frequency_ratios=self.RATIOS,
+            features, MIXES, ways=8, frequency_ratios=self.RATIOS
         )
-        pool = batch_predict(
-            features, MIXES, ways=8, workers=2, engine="pool",
-            frequency_ratios=self.RATIOS,
-        )
-        assert serial == vectorized == pool
+        observer = obs.Observer()
+        with obs.use_observer(observer):  # forces the sequential loop
+            serial = batch_predict(
+                features, MIXES, ways=8, frequency_ratios=self.RATIOS
+            )
+        assert serial == vectorized
 
     def test_matches_independent_scalar_predictions(self, features):
         """Each ratio-carrying entry equals a cold standalone predict."""
@@ -512,3 +364,21 @@ class TestFrequencyRatios:
         ratios = [[1.0], None, None, None, None]  # mix 0 has two processes
         with pytest.raises(ConfigurationError, match=r"frequency_ratios\[0\]"):
             batch_predict(features, MIXES, ways=8, frequency_ratios=ratios)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -1.0]
+    )
+    def test_rejects_non_finite_or_non_positive(self, features, bad):
+        from repro.api import ProfileSuiteResult
+
+        suite = ProfileSuiteResult(
+            machine="4-core-server",
+            features={f.name: f for f in features},
+            profiles={},
+        )
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            predict_mix(["mcf", "gzip"], suite, ways=8, frequency_ratios=[bad, 1.0])
+        ratios = [None] * len(MIXES)
+        ratios[0] = [bad, 1.0]
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            predict_mixes(MIXES, suite, ways=8, frequency_ratios=ratios)

@@ -470,6 +470,60 @@ class TestHttpEndpoints:
         assert "invalid JSON" in document["error"]
 
 
+class TestBadRequestIsolation:
+    """A request the model would reject never fails its batch-mates."""
+
+    @pytest.mark.parametrize(
+        "ways, bad_body",
+        [
+            # JSON reads 1e999 as inf, which used to pass ``ratio > 0``.
+            (WAYS, b'{"names": ["mcf", "gzip"], "ways": 16, '
+                   b'"frequency_ratios": [1e999, 1.0]}'),
+            (2, b'{"names": ["mcf", "gzip", "art"], "ways": 2}'),
+        ],
+        ids=["infinite_ratio", "more_names_than_ways"],
+    )
+    def test_only_the_bad_request_fails(self, suite, ways, bad_body):
+        import http.client
+
+        good = [
+            json.dumps({"names": [a, b], "ways": ways}).encode()
+            for a in NAMES for b in NAMES
+        ][:8]
+        bodies = good + [bad_body]
+        statuses = [None] * len(bodies)
+        barrier = threading.Barrier(len(bodies))
+
+        def send(index):
+            connection = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=30
+            )
+            barrier.wait()
+            connection.request(
+                "POST", "/v1/predict", body=bodies[index],
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            response.read()
+            statuses[index] = response.status
+            connection.close()
+
+        # A long linger makes all nine requests share one micro-batch.
+        with start_server(
+            {"default": suite}, max_linger_ms=50.0, result_cache_size=0
+        ) as handle:
+            threads = [
+                threading.Thread(target=send, args=(i,))
+                for i in range(len(bodies))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert statuses[-1] == 400
+        assert statuses[:-1] == [200] * len(good)
+
+
 class TestV2Assign:
     @staticmethod
     def _request_doc(**overrides):

@@ -8,7 +8,7 @@ from repro.core.feature import FeatureVector, ProfileVector
 from repro.core.histogram import ReuseDistanceHistogram
 from repro.core.performance_model import PerformanceModel
 from repro.core.power_model import CorePowerModel, PowerTrainingSet
-from repro.core.solver_cache import CacheStats, EquilibriumCache
+from repro.core.solver_cache import EquilibriumCache
 from repro.core.spi import SpiModel
 from repro.errors import ConfigurationError
 from repro.events import RATE_EVENTS
@@ -27,6 +27,7 @@ class TestEquilibriumCache:
         assert stats.hits == 1
         assert stats.misses == 1
         assert stats.hit_rate == pytest.approx(0.5)
+        assert stats.warm_starts == 0  # kept for old readers, never counts
         assert "k" in cache
         assert len(cache) == 1
 
@@ -56,26 +57,9 @@ class TestEquilibriumCache:
         cache = EquilibriumCache()
         cache.put("a", 1)
         cache.get("a")
-        cache.record_sizes(["p"], [3.0])
         cache.clear()
         assert len(cache) == 0
-        assert cache.suggest_initial(["p"], WAYS) is None
         assert cache.stats.hits == 1  # counters survive a clear
-
-    def test_suggest_initial_rescales_to_capacity(self):
-        cache = EquilibriumCache()
-        cache.record_sizes(["a", "b"], [2.0, 6.0])
-        initial = cache.suggest_initial(["a", "b"], WAYS)
-        assert initial is not None
-        assert sum(initial) == pytest.approx(WAYS)
-        # Relative proportions of the remembered solution survive.
-        assert initial[1] / initial[0] == pytest.approx(3.0)
-        assert cache.stats.warm_starts == 1
-
-    def test_suggest_initial_requires_all_names(self):
-        cache = EquilibriumCache()
-        cache.record_sizes(["a"], [4.0])
-        assert cache.suggest_initial(["a", "unknown"], WAYS) is None
 
 
 def _feature(name, probs, inf_mass, api=0.05):
@@ -141,14 +125,16 @@ class TestPerformanceModelCaching:
         model.register(_feature("new", [0.3, 0.3], 0.1))
         assert len(model.cache) == 1
 
-    def test_warm_start_used_for_neighbour_combo(self, features):
-        model = PerformanceModel(ways=WAYS)
-        model.register_all(features)
-        model.predict(["heavy", "light"])
-        model.predict(["light", "mid"])
-        before = model.cache_stats.warm_starts
-        model.predict(["heavy", "mid"])  # both names now remembered
-        assert model.cache_stats.warm_starts == before + 1
+    def test_prediction_independent_of_cache_history(self, features):
+        """A solve depends on its co-run only, not on earlier solves."""
+        shared = PerformanceModel(ways=WAYS)
+        shared.register_all(features)
+        shared.predict(["heavy", "heavy"])
+        shared.predict(["heavy", "light"])
+        after_history = shared.predict(["heavy", "heavy", "light"])
+        fresh = PerformanceModel(ways=WAYS)
+        fresh.register_all(features)
+        assert after_history == fresh.predict(["heavy", "heavy", "light"])
 
     def test_shared_cache_across_models(self, features):
         cache = EquilibriumCache()
@@ -246,43 +232,3 @@ class TestCombinedModelSharedCache:
         combined.estimate_assignment_power(assignment)
         combined.estimate_assignment_throughput(assignment)
         assert combined.corun_cache_stats.hits > 0
-
-
-class TestAbsorbIdempotency:
-    def test_same_document_absorbed_once(self):
-        parent = EquilibriumCache(warm_start=False)
-        entries = [("k1", "v1"), ("k2", "v2")]
-        delta = CacheStats(
-            hits=3, misses=2, evictions=1, warm_starts=0,
-            entries=2, max_entries=4096,
-        )
-        parent.absorb(entries=entries, stats=delta, document_id=("chunk", 0))
-        first = parent.stats
-        # A replayed delivery of the same worker document (e.g. after a
-        # pool retry) must not double-count counters or re-churn LRU.
-        parent.absorb(entries=entries, stats=delta, document_id=("chunk", 0))
-        second = parent.stats
-        assert first == second
-        assert second.hits == 3 and second.misses == 2
-        assert parent.get("k1") == "v1"
-
-    def test_distinct_documents_both_absorbed(self):
-        parent = EquilibriumCache(warm_start=False)
-        delta = CacheStats(
-            hits=1, misses=1, evictions=0, warm_starts=0,
-            entries=0, max_entries=4096,
-        )
-        parent.absorb(stats=delta, document_id=("chunk", 0))
-        parent.absorb(stats=delta, document_id=("chunk", 1))
-        assert parent.stats.hits == 2
-        assert parent.stats.misses == 2
-
-    def test_none_document_id_keeps_unconditional_merge(self):
-        parent = EquilibriumCache(warm_start=False)
-        delta = CacheStats(
-            hits=1, misses=0, evictions=0, warm_starts=0,
-            entries=0, max_entries=4096,
-        )
-        parent.absorb(stats=delta)
-        parent.absorb(stats=delta)
-        assert parent.stats.hits == 2
