@@ -29,7 +29,7 @@ from __future__ import annotations
 import pathlib
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.config import (
     BENCH_SCALE,
@@ -242,6 +242,28 @@ def _resolve_suite(
     return load_suite(suite)
 
 
+def _check_processes(
+    names: Iterable[str], suite: "ProfileSuiteResult", *, power: bool = False
+) -> None:
+    """Reject names the suite has not profiled before building a model.
+
+    ``power`` also requires each name's power profile (the combined
+    model needs both).
+    """
+    unknown = sorted(
+        {
+            n
+            for n in names
+            if n not in suite.features or (power and n not in suite.profiles)
+        }
+    )
+    if unknown:
+        raise ConfigurationError(
+            f"unknown processes {unknown}; profiled suite knows "
+            f"{sorted(suite.features)}"
+        )
+
+
 def load_suite(path: Pathish) -> ProfileSuiteResult:
     """Load a suite saved by the facade or by ``save_profile_suite``.
 
@@ -332,6 +354,7 @@ def predict_mix(
             path, bit for bit.
     """
     resolved = _resolve_suite(suite)
+    _check_processes(names, resolved)
     model = PerformanceModel(ways=ways, strategy=strategy)
     model.register_all(list(resolved.features.values()))
     prediction = model.predict(
@@ -369,6 +392,7 @@ def predict_mixes(
     from repro.parallel import predict_mixes as batch_predict
 
     resolved = _resolve_suite(suite)
+    _check_processes((name for mix in mixes for name in mix), resolved)
     predictions = batch_predict(
         resolved.features,
         mixes,
@@ -478,6 +502,7 @@ def _pick_assignment_impl(
 
     topology = _topology(machine, sets)
     resolved = _resolve_suite(suite)
+    _check_processes(names, resolved, power=True)
     if not isinstance(power_model, CorePowerModel):
         power_model = load_power_model(power_model)
     ways = topology.domains[0].geometry.ways

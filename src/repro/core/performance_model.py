@@ -9,6 +9,7 @@ co-run combinations, the paper's headline complexity win.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,6 +23,28 @@ from repro.core.occupancy import OccupancyModel
 from repro.core.solver_cache import CacheStats, EquilibriumCache
 from repro.errors import ConfigurationError
 from repro.obs import get_observer
+
+#: ``FeatureVector -> {ways: OccupancyModel}``, shared by every model.
+#: A table is a pure function of the (immutable) histogram and ``ways``,
+#: so reusing one is exact.  Entries die with their profile: the key is
+#: held weakly and the tables reference only the histogram, never the
+#: key.  Equal feature vectors hold one histogram object (histograms
+#: compare by identity), so sharing an entry between them is exact too.
+_OCCUPANCY_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shared_occupancy(feature: FeatureVector, ways: int) -> OccupancyModel:
+    """The growth table of ``feature`` at ``ways``, built on first use.
+
+    Two threads meeting a profile at once may both build the table;
+    ``setdefault`` keeps the first complete one, so only finished
+    tables are ever stored and every caller gets the same object.
+    """
+    tables = _OCCUPANCY_TABLES.setdefault(feature, {})
+    table = tables.get(ways)
+    if table is None:
+        table = tables.setdefault(ways, feature.occupancy_model(ways))
+    return table
 
 
 @dataclass(frozen=True)
@@ -132,9 +155,9 @@ class PerformanceModel:
             # carry profile contents, so drop everything.
             self.cache.clear()
         self._features[feature.name] = feature
-        # Occupancy tables are pure functions of the histogram; build
-        # once per registration.
-        self._occupancy_cache[feature.name] = feature.occupancy_model(self.ways)
+        # Built once per (profile, ways) and shared with every other
+        # model that registers the same profile.
+        self._occupancy_cache[feature.name] = _shared_occupancy(feature, self.ways)
 
     def register_all(self, features: Sequence[FeatureVector]) -> None:
         for feature in features:

@@ -179,8 +179,10 @@ class ParallelPredictor:
 
     # -- prediction -----------------------------------------------------
     def _get_model(self) -> PerformanceModel:
-        # Built on first use, so the serving layer pays the occupancy
-        # tables on its dispatch thread rather than its event loop.
+        # Built on first use, on the serving layer's dispatch thread
+        # rather than its event loop: the first model to register a
+        # profile at this ``ways`` builds its occupancy table, later
+        # ones reuse it (see ``PerformanceModel.register``).
         if self._model is None:
             model = PerformanceModel(
                 ways=self.ways, strategy=self.strategy, cache=self.cache

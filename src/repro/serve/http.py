@@ -21,7 +21,9 @@ are coalesced by a per-``(model version, ways)``
 :class:`~repro.serve.batcher.MicroBatcher` into batches solved by a
 persistent :class:`~repro.parallel.ParallelPredictor`, so the returned
 ``prediction`` document is bit-identical to what
-:func:`repro.api.predict_mix` computes for the same suite and mix.  An
+:func:`repro.api.predict_mix` computes for the same suite and mix.
+``ways`` may not exceed :data:`MAX_PREDICT_WAYS`, the widest shared
+cache of any standard machine (the in-process API has no bound).  An
 optional ``"frequency_ratios": [...]`` field (one finite positive
 number per name) prices the mix at per-process DVFS clock ratios (see
 :mod:`repro.hetero`); it flows through the result cache key and the
@@ -56,6 +58,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import ConfigurationError, ReproError
+from repro.machine.topology import STANDARD_MACHINES
 from repro.obs import MetricsRegistry
 from repro.parallel import ParallelPredictor
 from repro.serve.batcher import MicroBatcher
@@ -80,6 +83,18 @@ SERVE_FORMAT_VERSION = 1
 # requests are rejected up front with 413.
 MAX_FLEET_PROCESSES = 50_000
 MAX_FLEET_MACHINES = 4096
+
+# Ceiling for /v1/predict ``ways``: the widest shared cache among the
+# standard machines.  Each new ``ways`` gets a batcher that lives as
+# long as the service, and its first solve builds every profile's
+# occupancy table at that associativity, which grows steeply with it
+# (seconds at 1024 ways), so a request beyond any modelled machine is
+# rejected with 400 instead of pinning a dispatch thread.
+MAX_PREDICT_WAYS = max(
+    domain.geometry.ways
+    for factory in STANDARD_MACHINES.values()
+    for domain in factory().domains
+)
 
 _REASONS = {
     200: "OK",
@@ -234,6 +249,11 @@ class PredictionService:
             raise ServiceClosedError("service is stopped")
         if not isinstance(ways, int) or ways < 1:
             raise _BadRequest(f"'ways' must be a positive integer, got {ways!r}")
+        if ways > MAX_PREDICT_WAYS:
+            raise _BadRequest(
+                f"'ways' must be at most {MAX_PREDICT_WAYS} (the widest "
+                f"shared cache of a standard machine), got {ways}"
+            )
         # Checked here, per request: a mix the model would reject fails
         # the whole micro-batch it joins.
         if len(names) > ways:

@@ -173,6 +173,22 @@ class TestBatchPredictFlow:
         assert code == 2
         assert "--batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["names", "batch"])
+    def test_unknown_process_is_a_clean_error(self, tmp_path, capsys, suite, batch):
+        argv = ["predict", "--suite", str(suite), "--ways", "4"]
+        if batch:
+            path = tmp_path / "mixes.json"
+            path.write_text(json.dumps([["gzip"], ["nope", "gzip"]]))
+            argv += ["--batch", str(path)]
+        else:
+            argv += ["nope", "gzip"]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: unknown processes ['nope']")
+        assert "Traceback" not in err
+
     def test_malformed_batch_file_rejected(self, tmp_path, capsys, suite):
         batch = tmp_path / "mixes.json"
         batch.write_text(json.dumps({"mixes": "gzip"}))

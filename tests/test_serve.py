@@ -453,6 +453,22 @@ class TestHttpEndpoints:
         assert status == 400  # empty body
         assert "error" in document
 
+    def test_ways_beyond_any_standard_cache_is_a_prompt_400(self, client, suite):
+        # An unbounded ``ways`` would build every profile's occupancy
+        # table at that associativity on a dispatch thread (minutes at
+        # 16384 ways); it must be refused before any batcher exists.
+        started = time.monotonic()
+        with pytest.raises(ServeClientError) as err:
+            client.predict(["mcf", "gzip"], ways=4096)
+        assert time.monotonic() - started < 5.0
+        assert err.value.status == 400
+        assert "'ways'" in err.value.document["error"]
+        # The next valid request is served normally (a 200).
+        response = client.predict(["mcf", "gzip"], ways=WAYS)
+        assert response["prediction"] == predict_mix(
+            ["mcf", "gzip"], suite, ways=WAYS
+        ).to_dict()
+
     def test_malformed_json_is_a_clean_400(self, server):
         import http.client
 
