@@ -55,8 +55,13 @@ class Prefetcher(ABC):
         self, cache: SetAssociativeCache, owner: int, line: int, hit: bool
     ) -> int:
         """Process one demand access; return number of lines prefetched."""
-        if hit and self._pending.pop(line, False):
-            self.stats.useful += 1
+        if hit:
+            if self._pending.pop(line, False):
+                self.stats.useful += 1
+        else:
+            # The prefetched copy was evicted before use; the demand
+            # miss refills the line, so a later hit is not the prefetch's.
+            self._pending.pop(line, None)
         issued = 0
         for target in self.predict(owner, line, hit):
             if target < 0:

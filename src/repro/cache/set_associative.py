@@ -19,9 +19,6 @@ from repro.cache.replacement import LruPolicy, ReplacementPolicy
 from repro.cache.stats import CacheStats
 from repro.config import CacheGeometry
 
-#: Sentinel owner id for lines inserted by a prefetcher.
-PREFETCH_OWNER_BIT = 1 << 30
-
 
 class SetAssociativeCache:
     """Set-associative cache with pluggable replacement policy.
@@ -96,6 +93,25 @@ class SetAssociativeCache:
         self.policy.on_fill(self._policy_state[set_idx], way)
         self.stats.owner(owner).fills += 1
         self._lines_by_owner[owner] = self._lines_by_owner.get(owner, 0) + 1
+
+    def lru_structures(self) -> Tuple[list, list, list, list, list, Dict[int, int]]:
+        """The per-set structures an inlined LRU access path updates.
+
+        Returns ``(lookup, tags, owners, lru, free, lines_by_owner)``:
+        the per-set ``tag -> way`` dicts, tag and owner rows, LRU
+        recency lists (most recent first), free-way stacks, and the
+        resident-line count per owner.  A caller that updates them
+        exactly as :meth:`access` would leaves the cache in the same
+        state.  Only meaningful under :class:`LruPolicy`.
+        """
+        return (
+            self._lookup,
+            self._tags,
+            self._owners,
+            self._policy_state,
+            self._free,
+            self._lines_by_owner,
+        )
 
     def contains(self, line: int) -> bool:
         """Return True if ``line`` is currently resident (no side effects)."""

@@ -44,7 +44,8 @@ class ContentionMonitor:
             raise ValueError("sample_every must be positive")
         self.cache = cache
         self.sample_every = sample_every
-        self._since_sample = 0
+        #: Accesses since the last occupancy sample.
+        self.since_sample = 0
         self._occupancy_sum: Dict[int, float] = {}
         self._occupancy_samples = 0
         self._baseline: Dict[int, OwnerStats] = {}
@@ -52,13 +53,14 @@ class ContentionMonitor:
     def access(self, line: int, owner: int) -> bool:
         """Forward an access to the cache and update monitoring state."""
         hit = self.cache.access(line, owner)
-        self._since_sample += 1
-        if self._since_sample >= self.sample_every:
-            self._since_sample = 0
-            self._sample_occupancy()
+        self.since_sample += 1
+        if self.since_sample >= self.sample_every:
+            self.since_sample = 0
+            self.sample_occupancy()
         return hit
 
-    def _sample_occupancy(self) -> None:
+    def sample_occupancy(self) -> None:
+        """Add the current per-owner resident lines to the averages."""
         self._occupancy_samples += 1
         for owner, lines in self.cache.lines_by_owner().items():
             self._occupancy_sum[owner] = (
@@ -69,7 +71,7 @@ class ContentionMonitor:
         """Discard everything seen so far (end of warm-up)."""
         self._occupancy_sum.clear()
         self._occupancy_samples = 0
-        self._since_sample = 0
+        self.since_sample = 0
         self._baseline = {
             owner: stats.snapshot()
             for owner, stats in self.cache.stats.by_owner.items()

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cache.prefetch import NextLinePrefetcher, Prefetcher, StridePrefetcher
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import LruPolicy, make_policy
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.shared import ContentionMonitor
+from repro.cache.stats import OwnerStats
 from repro.config import SimulationScale, BENCH_SCALE
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.hpc import (
@@ -52,6 +53,11 @@ from repro.seeding import (
     stream_seed,
 )
 from repro.workloads.spec import SyntheticBenchmark
+
+# The fused loop unpacks a CounterBank's values in this order.
+if (IDX_INSTRUCTIONS, IDX_CYCLES, IDX_L1_REFS, IDX_L2_REFS, IDX_L2_MISSES,
+        IDX_BRANCHES, IDX_FP_OPS) != tuple(range(7)):  # pragma: no cover
+    raise ImportError("CounterBank layout changed; update MachineSimulation._run_lru")
 
 #: Per-access observer signature: ``hook(time_s, pid, hit)``.
 AccessHook = Callable[[float, int, bool], None]
@@ -123,6 +129,28 @@ class SimulationResult:
             if result.pid == pid:
                 return result
         raise KeyError(f"no process with pid {pid}")
+
+
+def _sync_lru_stats(synced: Dict[int, list]) -> None:
+    """Bring per-owner cache statistics up to date after a fused run.
+
+    On the fused path every access adds one to the owner's cache
+    ``accesses`` and to its process's ``l2_refs``, and every miss one to
+    ``misses``, ``fills`` and ``l2_misses``; the rest are hits.  So the
+    loop counts only the process side, and this applies the difference
+    since the last call to each record ``[counters, record, refs,
+    misses]``.  It must run before anything reads the statistics.
+    """
+    for entry in synced.values():
+        counters, record, refs, misses = entry
+        new_refs = counters.l2_refs - refs
+        new_misses = counters.l2_misses - misses
+        record.accesses += new_refs
+        record.hits += new_refs - new_misses
+        record.misses += new_misses
+        record.fills += new_misses
+        entry[2] = counters.l2_refs
+        entry[3] = counters.l2_misses
 
 
 _PREFETCHERS = {
@@ -348,6 +376,59 @@ class MachineSimulation:
                 observer.counter("sim.hpc.windows").inc()
                 observer.histogram("sim.hpc.window_true_watts").observe(true_w)
 
+    def _open_window(
+        self, start_s: float, collect_power: bool
+    ) -> Tuple[Optional[HpcSampler], Optional[PowerTrace]]:
+        """Start measuring; in duration mode with power, start sampling."""
+        self._begin_measurement()
+        if not collect_power:
+            return None, None
+        sampler = HpcSampler(self.banks, self.scale.hpc_period_s, start_s=start_s)
+        trace = PowerTrace(window_s=self.scale.hpc_period_s, start_s=start_s)
+        return sampler, trace
+
+    def _finish(
+        self,
+        duration_mode: bool,
+        measuring: bool,
+        t_measure_start: float,
+        t_now: float,
+        warmup_s: float,
+        t_end: float,
+        collect_power: bool,
+        sampler: Optional[HpcSampler],
+        trace: Optional[PowerTrace],
+    ) -> SimulationResult:
+        """Close the measurement window after the event loop stops."""
+        if duration_mode:
+            if not measuring:
+                # No process ever ran (idle machine): open the window now.
+                t_measure_start = warmup_s
+                sampler, trace = self._open_window(warmup_s, collect_power)
+            if sampler is not None and trace is not None:
+                self._drain_power(sampler, trace, t_end)
+            t_measure_end = t_end
+        else:
+            if not measuring:
+                raise SimulationError(
+                    "run ended before the warm-up budget was met; "
+                    "increase the access budget"
+                )
+            t_measure_end = t_now
+        return self._assemble(t_measure_start, t_measure_end, sampler, trace)
+
+    def _lru_fast_path(self) -> bool:
+        """True when :meth:`_run_lru` reproduces :meth:`_run_reference`.
+
+        That holds for exact-LRU shared caches with no prefetcher and
+        no access hook: the configuration of every paper experiment.
+        """
+        return (
+            self.prefetchers is None
+            and self.access_hook is None
+            and all(type(cache.policy) is LruPolicy for cache in self.caches)
+        )
+
     def _run(
         self,
         duration_mode: bool,
@@ -357,6 +438,26 @@ class MachineSimulation:
         measure_s: float = 0.0,
         collect_power: bool = False,
     ) -> SimulationResult:
+        loop = self._run_lru if self._lru_fast_path() else self._run_reference
+        return loop(
+            duration_mode, warmup_budget, measure_budget, warmup_s, measure_s, collect_power
+        )
+
+    def _run_reference(
+        self,
+        duration_mode: bool,
+        warmup_budget: int = 0,
+        measure_budget: int = 0,
+        warmup_s: float = 0.0,
+        measure_s: float = 0.0,
+        collect_power: bool = False,
+    ) -> SimulationResult:
+        """The general event loop: any policy, prefetcher or hook.
+
+        One heap event per access, each going through the monitor,
+        cache, policy and process objects.  It is the reference the
+        fused LRU loop is tested against.
+        """
         heap: List[Tuple[float, int, int]] = []
         seq = 0
         for core, sched in self.schedules.items():
@@ -417,14 +518,7 @@ class MachineSimulation:
                     if t_next >= warmup_s:
                         measuring = True
                         t_measure_start = warmup_s
-                        self._begin_measurement()
-                        if collect_power:
-                            sampler = HpcSampler(
-                                self.banks, self.scale.hpc_period_s, start_s=warmup_s
-                            )
-                            trace = PowerTrace(
-                                window_s=self.scale.hpc_period_s, start_s=warmup_s
-                            )
+                        sampler, trace = self._open_window(warmup_s, collect_power)
                 else:
                     check_countdown -= 1
                     if check_countdown <= 0:
@@ -452,29 +546,257 @@ class MachineSimulation:
             heapq.heappush(heap, (t_next, seq, core))
             seq += 1
 
-        if duration_mode:
-            if not measuring:
-                # No process ever ran (idle machine): open the window now.
-                measuring = True
-                t_measure_start = warmup_s
-                self._begin_measurement()
-                if collect_power:
-                    sampler = HpcSampler(
-                        self.banks, self.scale.hpc_period_s, start_s=warmup_s
-                    )
-                    trace = PowerTrace(window_s=self.scale.hpc_period_s, start_s=warmup_s)
-            if sampler is not None and trace is not None:
-                self._drain_power(sampler, trace, t_end)
-            t_measure_end = t_end
-        else:
-            if not measuring:
-                raise SimulationError(
-                    "run ended before the warm-up budget was met; "
-                    "increase the access budget"
-                )
-            t_measure_end = t_now
+        return self._finish(
+            duration_mode, measuring, t_measure_start, t_now, warmup_s, t_end,
+            collect_power, sampler, trace,
+        )
 
-        return self._assemble(t_measure_start, t_measure_end, sampler, trace)
+    def _bind_lru(self, process: Process, synced: Dict[int, list]) -> tuple:
+        """What :meth:`_run_lru` binds to locals while ``process`` runs.
+
+        Called at the process's first access, so its statistics record
+        is created exactly when :meth:`SetAssociativeCache.access` would.
+        The record joins ``synced`` (see :func:`_sync_lru_stats`).
+        """
+        frequency = self.topology.core_frequency(process.core)
+        cache = self.caches[self._domain_of_core[process.core]]
+        record = cache.stats.owner(process.pid)
+        counters = process.counters
+        if process.pid not in synced:
+            synced[process.pid] = [counters, record, counters.l2_refs, counters.l2_misses]
+        hit_dt = process.hit_seconds_per_access
+        # The reference loop's ``dt = hit; dt += stall`` and
+        # ``dt * frequency``, computed once.
+        miss_dt = hit_dt + process.miss_stall_seconds
+        return (
+            process,
+            process.pid,
+            process.generator.next_line,
+            counters,
+            record,
+            process.inv_api,
+            process.l1_incr,
+            process.br_incr,
+            process.fp_incr,
+            hit_dt,
+            miss_dt,
+            hit_dt * frequency,
+            miss_dt * frequency,
+        )
+
+    def _run_lru(
+        self,
+        duration_mode: bool,
+        warmup_budget: int = 0,
+        measure_budget: int = 0,
+        warmup_s: float = 0.0,
+        measure_s: float = 0.0,
+        collect_power: bool = False,
+    ) -> SimulationResult:
+        """The event loop fused for LRU caches without prefetch or hook.
+
+        Bit-identical to :meth:`_run_reference`: every counter receives
+        the same additions in the same order, and warm-up/measure
+        checks, occupancy samples and power windows fire at the same
+        access.  The speed comes from three things:
+
+        - *Inlining.*  Monitor, cache, LRU recency list and process
+          accounting run inline over the cache's own per-set
+          structures.  Per-core, per-domain and per-process state is
+          bound to locals and rebound only when it changes.  The
+          core's counter bank lives in locals while the core runs and
+          is written back before anything reads it.
+        - *Derived cache statistics.*  Per-owner accesses, hits, misses
+          and fills follow from the process counters; they are brought
+          up to date (:func:`_sync_lru_stats`) before the measurement
+          window opens and when the loop ends.
+        - *Run-ahead.*  A core keeps running while its next access
+          starts strictly before the earliest queued event
+          (``heap[0]``): the heap round trip would pop it straight
+          back.  At equal times the queued event still wins, as its
+          sequence number is older.
+        """
+        heap: List[Tuple[float, int, int]] = []
+        seq = 0
+        for core, sched in self.schedules.items():
+            if not sched.idle:
+                heapq.heappush(heap, (seq * 1e-9, seq, core))
+                seq += 1
+
+        measuring = False
+        t_measure_start = 0.0
+        t_end = warmup_s + measure_s if duration_mode else float("inf")
+        sampler: Optional[HpcSampler] = None
+        trace: Optional[PowerTrace] = None
+        # A power window closes once ``boundary <= now + eps`` (the test
+        # in HpcSampler.advance); checking it here skips empty drains.
+        boundary, eps = float("inf"), 0.0
+        check_countdown = 128
+        t_now = 0.0
+        processes = self.processes
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        domains = [
+            (cache.geometry.sets - 1, cache.geometry.sets.bit_length() - 1)
+            + cache.lru_structures()
+            + (cache.stats.by_owner, monitor, monitor.sample_every)
+            for cache, monitor in zip(self.caches, self.monitors)
+        ]
+        cores = [
+            (self.schedules[core], self.banks[core].values, self._domain_of_core[core])
+            for core in range(self.topology.num_cores)
+        ]
+        # Per core, the bound state of the process it runs (see
+        # _bind_lru); None until that core's first access.
+        running: List[Optional[tuple]] = [None] * self.topology.num_cores
+        synced: Dict[int, list] = {}
+        bound_domain = -1
+        set_mask = set_shift = since = sample_every = 0
+        lookups = tags = owners = lrus = frees = []
+        lines_by_owner: Dict[int, int] = {}
+        by_owner: Dict[int, OwnerStats] = {}
+        monitor: Optional[ContentionMonitor] = None
+
+        while heap:
+            t, _, core = heappop(heap)
+            if t >= t_end:
+                break
+            sched, values, domain_idx = cores[core]
+            if domain_idx != bound_domain:
+                if monitor is not None:
+                    monitor.since_sample = since
+                (set_mask, set_shift, lookups, tags, owners, lrus, frees, lines_by_owner,
+                 by_owner, monitor, sample_every) = domains[domain_idx]
+                since = monitor.since_sample
+                bound_domain = domain_idx
+            slice_end = sched.slice_end
+            state = running[core]
+            if t >= slice_end or state is None:
+                sched.maybe_switch(t)
+                slice_end = sched.slice_end
+                process = sched.current()
+                if state is None or state[0] is not process:
+                    state = running[core] = self._bind_lru(process, synced)
+            (process, pid, next_line, counters, stats, inv_api, l1_incr, br_incr, fp_incr,
+             hit_dt, miss_dt, hit_cycles, miss_cycles) = state
+            # The core runs ahead until its next access would start at
+            # or after ``t_stop`` (the queue head or the end of the run),
+            # stopping early at ``horizon`` to rotate its slice.
+            t_stop = heap[0][0] if heap and heap[0][0] < t_end else t_end
+            horizon = t_stop if t_stop < slice_end else slice_end
+            (b_instr, b_cycles, b_l1, b_refs, b_misses, b_branches, b_fp) = values
+
+            while True:
+                line = next_line()
+                set_idx = line & set_mask
+                tag = line >> set_shift
+                lookup = lookups[set_idx]
+                way = lookup.get(tag)
+                if way is not None:
+                    lru = lrus[set_idx]
+                    if lru[0] != way:
+                        lru.remove(way)
+                        lru.insert(0, way)
+                    owners[set_idx][way] = pid
+                    dt = hit_dt
+                    b_cycles += hit_cycles
+                else:
+                    free = frees[set_idx]
+                    row = owners[set_idx]
+                    lru = lrus[set_idx]
+                    if free:
+                        way = free.pop()
+                        lru.remove(way)
+                    else:
+                        way = lru.pop()
+                        old_owner = row[way]
+                        del lookup[tags[set_idx][way]]
+                        lines_by_owner[old_owner] -= 1
+                        by_owner[old_owner].evictions_suffered += 1
+                        if old_owner != pid:
+                            stats.evictions_inflicted += 1
+                    lru.insert(0, way)
+                    tags[set_idx][way] = tag
+                    row[way] = pid
+                    lookup[tag] = way
+                    lines_by_owner[pid] = lines_by_owner.get(pid, 0) + 1
+                    counters.l2_misses += 1
+                    b_misses += 1.0
+                    dt = miss_dt
+                    b_cycles += miss_cycles
+                since += 1
+                if since >= sample_every:
+                    since = 0
+                    monitor.sample_occupancy()
+                counters.instructions += inv_api
+                counters.l2_refs += 1
+                counters.time_running += dt
+                b_instr += inv_api
+                b_l1 += l1_incr
+                b_branches += br_incr
+                b_fp += fp_incr
+                b_refs += 1.0
+                t_next = t + dt
+
+                if duration_mode:
+                    if measuring:
+                        now = t_end if t_end < t_next else t_next
+                        if boundary <= now + eps:
+                            values[:] = (b_instr, b_cycles, b_l1, b_refs, b_misses, b_branches, b_fp)
+                            self._drain_power(sampler, trace, now)
+                            boundary = sampler.next_boundary
+                    elif t_next >= warmup_s:
+                        measuring = True
+                        t_measure_start = warmup_s
+                        values[:] = (b_instr, b_cycles, b_l1, b_refs, b_misses, b_branches, b_fp)
+                        _sync_lru_stats(synced)
+                        sampler, trace = self._open_window(warmup_s, collect_power)
+                        since = 0
+                        if sampler is not None:
+                            boundary = sampler.next_boundary
+                            eps = sampler.period_s * 1e-9
+                else:
+                    check_countdown -= 1
+                    if check_countdown <= 0:
+                        check_countdown = 128
+                        if not measuring:
+                            if all(p.counters.l2_refs >= warmup_budget for p in processes):
+                                measuring = True
+                                t_measure_start = t_next
+                                _sync_lru_stats(synced)
+                                self._begin_measurement()
+                                since = 0
+                        elif all(p.measured().l2_refs >= measure_budget for p in processes):
+                            t_now = t_next
+                            heap.clear()
+                            break
+
+                if t_next >= horizon:
+                    if t_next >= t_stop:
+                        heappush(heap, (t_next, seq, core))
+                        seq += 1
+                        break
+                    # The slice ended: rotate the run queue, keep going.
+                    sched.maybe_switch(t_next)
+                    slice_end = sched.slice_end
+                    horizon = t_stop if t_stop < slice_end else slice_end
+                    if sched.current() is not process:
+                        state = running[core] = self._bind_lru(sched.current(), synced)
+                        (process, pid, next_line, counters, stats, inv_api, l1_incr, br_incr,
+                         fp_incr, hit_dt, miss_dt, hit_cycles, miss_cycles) = state
+                # Run ahead: this core owns the next event.
+                seq += 1
+                t = t_next
+            values[:] = (b_instr, b_cycles, b_l1, b_refs, b_misses, b_branches, b_fp)
+        if monitor is not None:
+            monitor.since_sample = since
+        _sync_lru_stats(synced)
+
+        return self._finish(
+            duration_mode, measuring, t_measure_start, t_now, warmup_s, t_end,
+            collect_power, sampler, trace,
+        )
 
     def _assemble(
         self,

@@ -102,18 +102,21 @@ class StackDistanceTraceGenerator(AccessGenerator):
             raise ConfigurationError("max_stack must be positive")
         self._rng = np.random.default_rng(seed)
         self._batch = batch
-        self._batch_sets: np.ndarray = np.empty(0, dtype=np.int64)
-        self._batch_dists: np.ndarray = np.empty(0, dtype=np.int64)
-        self._cursor = 0
+        # Draws are kept as Python lists: indexing a list yields a ready
+        # int, where a numpy array would box a scalar on every access.
+        self._batch_sets: List[int] = []
+        self._batch_dists: List[int] = []
+        # Starts exhausted, so the first access draws the first batch.
+        self._cursor = batch
         self._stacks: List[List[int]] = [[] for _ in range(sets)]
         self._fresh_counter = [0] * sets
         self._stream_counter = 0
 
     def _refill(self) -> None:
-        self._batch_sets = self._rng.integers(0, self._sets, self._batch)
+        self._batch_sets = self._rng.integers(0, self._sets, self._batch).tolist()
         picks = np.searchsorted(self._cdf, self._rng.random(self._batch), side="right")
         picks = np.minimum(picks, len(self._distances) - 1)
-        self._batch_dists = self._distances[picks]
+        self._batch_dists = self._distances[picks].tolist()
         self._cursor = 0
 
     def _fresh_line(self, set_idx: int) -> int:
@@ -141,11 +144,13 @@ class StackDistanceTraceGenerator(AccessGenerator):
         self._fresh_counter = fresh_counter
 
     def next_line(self) -> int:
-        if self._cursor >= self._batch_sets.size:
+        cursor = self._cursor
+        if cursor >= self._batch:
             self._refill()
-        set_idx = int(self._batch_sets[self._cursor])
-        distance = int(self._batch_dists[self._cursor])
-        self._cursor += 1
+            cursor = 0
+        set_idx = self._batch_sets[cursor]
+        distance = self._batch_dists[cursor]
+        self._cursor = cursor + 1
 
         if distance < 0:
             # Streaming access: a line that can never have been seen.
@@ -189,16 +194,23 @@ class StressmarkGenerator(AccessGenerator):
         if sets < 1 or sets & (sets - 1):
             raise ConfigurationError("sets must be a positive power of two")
         self.ways = ways
-        self._sets = sets
-        self._set_shift = sets.bit_length() - 1
-        self._tag_offset = tag_offset
-        self._step = 0
+        set_shift = sets.bit_length() - 1
+        # One full period of the sweep, precomputed: step ``k`` touches
+        # tag ``k // sets`` in set ``k % sets``.
+        self._cycle = [
+            ((tag_offset + tag) << set_shift) | set_idx
+            for tag in range(ways)
+            for set_idx in range(sets)
+        ]
+        self._period = len(self._cycle)
+        self._position = 0
 
     def next_line(self) -> int:
-        set_idx = self._step % self._sets
-        tag = self._tag_offset + (self._step // self._sets) % self.ways
-        self._step += 1
-        return (tag << self._set_shift) | set_idx
+        position = self._position
+        line = self._cycle[position]
+        position += 1
+        self._position = 0 if position == self._period else position
+        return line
 
 
 def build_generator(

@@ -44,6 +44,21 @@ class TestNextLine:
         assert pf.stats.useful == 1
         assert pf.stats.accuracy == pytest.approx(1.0)  # 1 useful / 1 issued
 
+    def test_evicted_prefetch_refilled_by_demand_is_not_useful(self):
+        cache = SetAssociativeCache(CacheGeometry(sets=1, ways=2))
+        pf = NextLinePrefetcher()
+        pf.on_access(cache, 0, 0, cache.access(0, owner=0))  # prefetches line 1
+        cache.access(5, owner=1)
+        cache.access(6, owner=1)  # both of owner 0's lines are evicted
+        assert not cache.contains(1)
+        hit = cache.access(1, owner=0)
+        pf.on_access(cache, 0, 1, hit)  # demand miss refills line 1
+        assert hit is False
+        hit = cache.access(1, owner=0)
+        pf.on_access(cache, 0, 1, hit)
+        assert hit is True
+        assert pf.stats.useful == 0
+
     def test_prefetch_does_not_pollute_demand_stats(self, cache):
         pf = NextLinePrefetcher()
         pf.on_access(cache, 3, 0, cache.access(0, owner=3))
