@@ -23,7 +23,6 @@ from repro.cache.prefetch import NextLinePrefetcher, Prefetcher, StridePrefetche
 from repro.cache.replacement import LruPolicy, make_policy
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.shared import ContentionMonitor
-from repro.cache.stats import OwnerStats
 from repro.config import SimulationScale, BENCH_SCALE
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.hpc import (
@@ -132,7 +131,7 @@ class SimulationResult:
 
 
 def _sync_lru_stats(synced: Dict[int, list]) -> None:
-    """Bring per-owner cache statistics up to date after a fused run.
+    """Bring per-owner cache statistics up to date on the fused path.
 
     On the fused path every access adds one to the owner's cache
     ``accesses`` and to its process's ``l2_refs``, and every miss one to
@@ -651,11 +650,8 @@ class MachineSimulation:
         # _bind_lru); None until that core's first access.
         running: List[Optional[tuple]] = [None] * self.topology.num_cores
         synced: Dict[int, list] = {}
+        # The cache domain whose structures are bound to locals.
         bound_domain = -1
-        set_mask = set_shift = since = sample_every = 0
-        lookups = tags = owners = lrus = frees = []
-        lines_by_owner: Dict[int, int] = {}
-        by_owner: Dict[int, OwnerStats] = {}
         monitor: Optional[ContentionMonitor] = None
 
         while heap:

@@ -10,10 +10,11 @@ their states are compared for equality, not closeness.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimulationScale
@@ -147,8 +148,51 @@ class TestFusedLoopMatchesReference:
         st.booleans(),
     )
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example("server", {0: [GLACIAL], 1: [BENCHMARKS["mcf"]]}, 3, True)
     def test_duration_mode(self, topology_name, assignment, seed, power):
         states = _both(topology_name, assignment, seed, duration=True, power=power)
+        assert states[0] == states[1]
+
+
+class TestEqualTimes:
+    """An access ending exactly at the stop time must not run ahead.
+
+    Clock, rates and run length are powers of two, so simulated times
+    are exact and an access ends exactly at the end of the run; the
+    next access, which would start there, must not run.
+    """
+
+    def test_access_ending_at_run_end(self):
+        exact = SyntheticBenchmark(
+            name="exact",
+            mix=InstructionMix(l1rpi=0.5, l2rpi=0.5, brpi=0.0, fppi=0.0),
+            rd_profile=((0, 1.0),),
+            base_cpi=1.0,
+            penalty_cycles=64.0,
+        )
+        scale = SimulationScale(
+            warmup_accesses=1,
+            measure_accesses=1,
+            warmup_s=2.0**-12,
+            measure_s=2.0**-11,
+            hpc_period_s=2.0**-13,
+            timeslice_s=1.0,
+        )
+        states = []
+        for loop in ("_run_reference", "_run_lru"):
+            topology = dataclasses.replace(four_core_server(sets=32), frequency_hz=2.0**27)
+            sim = MachineSimulation(
+                topology,
+                {0: [exact]},
+                scale=scale,
+                power_env=PowerEnvironment.for_topology(topology),
+            )
+            result = getattr(sim, loop)(
+                True, warmup_s=scale.warmup_s, measure_s=scale.measure_s, collect_power=True
+            )
+            end = sim.processes[0].counters.time_running
+            states.append((_state(sim, result), end))
+        assert states[0][1] == scale.warmup_s + scale.measure_s
         assert states[0] == states[1]
 
 

@@ -102,7 +102,8 @@ CASES = {
     ),
 }
 
-#: Recorded from the reference event loop (``MachineSimulation._run_reference``).
+#: Recorded from the single event loop that preceded the fused LRU loop
+#: (now ``MachineSimulation._run_reference``), before the fused loop existed.
 GOLDEN = {
     "duration_with_power": "27d06c26494506dc17aefc62b0c4dbc42c8f63aadbf234650447cd63d998cb5b",
     "hetero_nonunit_clocks": "d9a83b7bfe4d0ea8ccc9e4631460ccc0b2e5f572f4bd25aa8de9f4d0a2f6b412",
